@@ -26,7 +26,7 @@ from .solvers import (
     reweighted_cs,
     subspace_cs,
 )
-from .spectral import estimate_spectral_matrix, focus_and_smooth
+from .spectral import FocusingError, estimate_spectral_matrix, focus_and_smooth
 from .subspace import build_lifted_system, decompose
 
 __all__ = [
@@ -435,12 +435,17 @@ def _trial_seed(base_seed: int, trial_index: int, snr_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+# Numerical failures that cost one (cell, algorithm) pair its peaks.
+_CELL_FAILURES = (SolverInfeasibleError, FocusingError, np.linalg.LinAlgError)
+
+
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
     """Execute the sweep described by ``plan``.
 
-    Solver infeasibility inside one trial never aborts the sweep: the trial
-    is recorded with no peaks for that algorithm and listed in
-    ``flagged_trials``.
+    A numerical failure inside one trial never aborts the sweep: when an
+    algorithm's solve is infeasible, its focusing transform is rank
+    deficient or a linear solve fails, the trial is recorded with no peaks
+    for that algorithm and listed in ``flagged_trials``.
 
     Args:
         plan: Sweep description.
@@ -470,7 +475,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
             try:
                 spectrum = _run_algorithm(data, alg)
                 got = detect_peaks(spectrum, plan.paths.num_paths)
-            except SolverInfeasibleError:
+            except _CELL_FAILURES:
                 got = np.empty(0)
                 flagged.append((alg, si, ti))
             peaks[alg] = got

@@ -149,65 +149,126 @@ def _solve_psd(h: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(h, c, rcond=None)[0]
 
 
-def _polish_column_complex(
-    a_sub: np.ndarray, b_col: np.ndarray, lam_sub: np.ndarray, x_col: np.ndarray
-) -> np.ndarray | None:
-    """Active-set solve of the support-restricted problem for one snapshot.
+def _solve_stack(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve h[g] z[g] = c[g] for a stack of square systems.
 
-    Alternates a dense solve of a_subᴴ a_sub z = a_subᴴ b - lam * phase(x)
-    (phases re-linearized each pass) with single-entry prunes of
-    coefficients pushed through zero and re-admission of dropped entries
-    whose stationarity is violated. Near-parallel active columns are
-    resolved by the dense solve, which coordinate updates cannot do in
-    reasonable time.
+    One stacked LAPACK call; a singular member makes numpy reject the whole
+    stack, and then each system falls back to ``_solve_psd`` on its own.
     """
-    size = x_col.size
-    mag = np.abs(x_col)
+    try:
+        return np.linalg.solve(h, c[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.stack([_solve_psd(hg, cg) for hg, cg in zip(h, c)])
+
+
+_POLISH_PASSES = 6
+
+
+def _polish_complex(
+    a_sub: np.ndarray, b: np.ndarray, lam_sub: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Active-set solve of the support-restricted problem, all snapshots at once.
+
+    Every snapshot column runs its own active-set iteration: a dense solve
+    of a_subᴴ a_sub z = a_subᴴ b - lam * phase(x) on the column's live
+    entries (phases re-linearized each pass), single-entry prunes of
+    coefficients pushed through zero, and re-admission of the dropped entry
+    whose stationarity is violated worst; at most ``_POLISH_PASSES`` passes,
+    stopping early once the phases stop moving. Near-parallel active
+    columns are resolved by the dense solve, which coordinate updates cannot
+    do in reasonable time.
+
+    The columns advance in lockstep so the linear algebra is shared: each
+    step stacks the running columns by live support size k and, per size,
+    forms their k x k systems with one stacked product and solves them with
+    one stacked call; the re-admission correlations of every column that
+    finished a pass come from one more product. The stacked products round
+    exactly as one-column products do, so a column's result does not
+    depend on which other columns are polished with it. Columns with fewer
+    than two live entries are returned unchanged (a lone coordinate is
+    already solved exactly by its update).
+
+    Args:
+        a_sub: Working-set dictionary columns, shape (M, n).
+        b: Snapshots, shape (M, L).
+        lam_sub: Per-entry penalties, shape (n,).
+        x: Current coefficients, shape (n, L).
+
+    Returns:
+        Polished coefficients, shape (n, L).
+    """
+    a_h = a_sub.conj().T
+    out = x.T.copy()  # row l is snapshot column l
+    mag = np.abs(out)
     alive = mag > 0
-    if not np.any(alive):
-        return None
-    if int(np.count_nonzero(alive)) == 1:
-        return None  # a lone coordinate is already solved exactly by its update
-    phases = np.zeros(size, dtype=complex)
-    phases[alive] = x_col[alive] / mag[alive]
-    out = np.zeros(size, dtype=complex)
-    for _ in range(6):
-        idx = np.flatnonzero(alive)
-        asub = a_sub[:, idx]
-        h = asub.conj().T @ asub
-        c = asub.conj().T @ b_col - lam_sub[idx] * phases[idx]
-        z = _solve_psd(h, c)
-        while True:
-            crossing = (z.conj() * phases[idx]).real
-            if not np.any(crossing <= 0):
-                break
-            alive[idx[int(np.argmin(crossing))]] = False
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                return np.zeros(size, dtype=complex)
-            asub = a_sub[:, idx]
-            h = asub.conj().T @ asub
-            c = asub.conj().T @ b_col - lam_sub[idx] * phases[idx]
-            z = _solve_psd(h, c)
-        new_phases = z / np.maximum(np.abs(z), _TINY)
-        moved = float(np.max(np.abs(new_phases - phases[idx])))
-        phases[idx] = new_phases
-        out[:] = 0
-        out[idx] = z
-        # re-admit any dropped entry whose stationarity is violated
-        corr = a_sub.conj().T @ (b_col - asub @ z)
-        dropped = ~alive
-        if np.any(dropped):
-            viol = np.abs(corr[dropped]) - lam_sub[dropped]
-            worst_local = int(np.argmax(viol))
-            if viol[worst_local] > 1e-7 * max(float(np.max(lam_sub)), _TINY):
-                worst = np.flatnonzero(dropped)[worst_local]
-                alive[worst] = True
-                phases[worst] = corr[worst] / max(abs(corr[worst]), _TINY)
-                continue
-        if moved < 1e-13:
-            break
-    return out
+    phases = np.zeros_like(out)
+    phases[alive] = out[alive] / mag[alive]
+    live = np.count_nonzero(alive, axis=1)
+    passes = np.zeros(live.size, dtype=int)
+    readmit_tol = 1e-7 * max(float(np.max(lam_sub)), _TINY)
+    running = np.flatnonzero(live >= 2)
+    while running.size:
+        sizes = live[running]
+        keep, finished, residuals, moved = [], [], [], []
+        for k in sorted(set(sizes.tolist())):
+            cols = running[sizes == k]
+            idx = np.nonzero(alive[cols])[1].reshape(cols.size, k)
+            ph = phases[cols[:, None], idx]
+            asub = a_sub[:, idx].transpose(1, 0, 2)  # asub[g] == a_sub[:, idx[g]]
+            asub_h = asub.conj().transpose(0, 2, 1)
+            b_cols = b[:, cols].T
+            if k == 1:
+                # a one-entry product is a BLAS dot, whose rounding depends on
+                # the stride of the snapshot column: take it from b in place
+                proj = np.array([a_sub[:, q].conj().T @ b[:, c] for q, c in zip(idx, cols)])
+            else:
+                proj = (asub_h @ b_cols[..., None])[..., 0]
+            z = _solve_stack(asub_h @ asub, proj - lam_sub[idx] * ph)
+            crossing = (z.conj() * ph).real
+            bad = (crossing <= 0).any(axis=1)
+            if bad.any():
+                # prune the most negative crossing; an emptied column is zero
+                pruned = cols[bad]
+                alive[pruned, idx[bad, crossing[bad].argmin(axis=1)]] = False
+                live[pruned] -= 1
+                if k == 1:
+                    out[pruned] = 0
+                else:
+                    keep.append(pruned)
+                ok = ~bad
+                cols, idx, ph, asub, b_cols, z = (
+                    cols[ok], idx[ok], ph[ok], asub[ok], b_cols[ok], z[ok]
+                )
+            if cols.size:
+                new_ph = z / np.maximum(np.abs(z), _TINY)
+                moved.append(np.abs(new_ph - ph).max(axis=1))
+                phases[cols[:, None], idx] = new_ph
+                out[cols] = 0
+                out[cols[:, None], idx] = z
+                finished.append(cols)
+                residuals.append(b_cols - (asub @ z[..., None])[..., 0])
+        if finished:
+            cols = np.concatenate(finished)
+            # re-admit the dropped entry whose stationarity is violated worst
+            corr = (a_h @ np.concatenate(residuals)[..., None])[..., 0]
+            viol = np.where(alive[cols], -np.inf, np.abs(corr) - lam_sub)
+            worst = viol.argmax(axis=1)
+            rows = np.arange(cols.size)
+            readmit = viol[rows, worst] > readmit_tol
+            back, entry = cols[readmit], worst[readmit]
+            alive[back, entry] = True
+            live[back] += 1
+            # scalar abs, not numpy's vectorized one: the two can differ in the
+            # last bit, and on a rank-deficient support one bit changes the
+            # polished column
+            phases[back, entry] = [
+                c / max(abs(c), _TINY) for c in corr[rows[readmit], entry]
+            ]
+            passes[cols] += 1
+            more = readmit | ~(np.concatenate(moved) < 1e-13)
+            keep.append(cols[more & (passes[cols] < _POLISH_PASSES)])
+        running = np.concatenate(keep) if keep else np.empty(0, dtype=int)
+    return out.T
 
 
 def _polish_nonneg(
@@ -301,13 +362,7 @@ def _cd_lasso_complex(
         if idx:
             sweeps += 1
             a_sub = a[:, idx]
-            x_cand = x[idx].copy()
-            for col in range(b.shape[1]):
-                polished = _polish_column_complex(
-                    a_sub, b[:, col], lam_rows[idx], x_cand[:, col]
-                )
-                if polished is not None:
-                    x_cand[:, col] = polished
+            x_cand = _polish_complex(a_sub, b, lam_rows[idx], x[idx])
             r_cand = b - a_sub @ x_cand
             f_cand = 0.5 * float(np.linalg.norm(r_cand) ** 2) + float(
                 np.sum(lam_rows[idx] * np.sum(np.abs(x_cand), axis=1))
@@ -524,13 +579,18 @@ def _snapshot_array(snapshots) -> np.ndarray:
     return arr
 
 
-def _zero_spectrum(grid, method, bound, dtype=float) -> SparseSpectrum:
+def _zero_spectrum(grid, method, bound, data_norm, dtype=float) -> SparseSpectrum:
+    """All-zero spectrum for data already inside the residual bound.
+
+    The residual of the zero fit is the data itself, so ``data_norm`` is
+    reported as the residual.
+    """
     return SparseSpectrum(
         grid=grid,
         values=np.zeros(len(grid), dtype=dtype),
         method=method,
         iterations=0,
-        residual=0.0,
+        residual=data_norm,
         residual_bound=bound,
         objective=0.0,
         converged=True,
@@ -565,7 +625,7 @@ def bpdn(
     bound = _effective_bound(config.residual_bound, data_norm)
     grid = dictionary.grid
     if data_norm <= bound:
-        return _zero_spectrum(grid, "bpdn", bound, dtype=complex)
+        return _zero_spectrum(grid, "bpdn", bound, data_norm, dtype=complex)
 
     lam_max = float(np.max(np.abs(a.conj().T @ y)))
     norms = np.sum(np.abs(a) ** 2, axis=0)
@@ -616,7 +676,8 @@ def reweighted_cs(
     bound = _effective_bound(config.residual_bound, data_norm)
     if data_norm <= bound:
         return _zero_spectrum(
-            grid, "reweighted_cs", bound, dtype=complex if num_l == 1 else float
+            grid, "reweighted_cs", bound, data_norm,
+            dtype=complex if num_l == 1 else float,
         )
 
     norms = np.sum(np.abs(a) ** 2, axis=0)
@@ -693,7 +754,7 @@ def subspace_cs(
     data_norm = float(np.linalg.norm(b))
     bound = _effective_bound(config.residual_bound, data_norm)
     if data_norm <= bound:
-        return _zero_spectrum(grid, "subspace_cs", bound)
+        return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
     if cross_term_mode not in ("fold", "joint"):
         raise ValueError(f"unknown cross_term_mode {cross_term_mode!r}")
 

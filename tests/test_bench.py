@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import raysep.bench
 from raysep import (
     AngleGrid,
     ArrayGeometry,
     EstimatorSettings,
     ExperimentPlan,
+    FocusingError,
     NoiseSpec,
     PseudoSpectrum,
     RaypathSet,
@@ -226,3 +228,33 @@ def test_report_entry_lookup_and_rows():
                              "detection_rate", "trials_used"]
     with pytest.raises(KeyError):
         report.entry("music", 10.0, 0)
+
+
+@pytest.mark.parametrize(
+    "error", [np.linalg.LinAlgError("singular"), FocusingError("rank deficient")]
+)
+def test_run_experiment_flags_numerical_failure_and_completes(monkeypatch, error):
+    geom, paths, grid = bench_fixture()
+    plan = ExperimentPlan(
+        paths=paths, geometry=geom, grid=grid,
+        snr_list=(5.0, 10.0), trials=2, algorithms=("cbf", "music"),
+        seed=3, band_hz=(1400.0, 1600.0), num_bins=2, num_snapshots=16,
+    )
+    expected = run_experiment(plan)
+
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(raysep.bench, "cbf_spectrum", broken)
+    report = run_experiment(plan)
+    assert report.flagged_trials == tuple(
+        ("cbf", snr, ti) for snr in plan.snr_list for ti in range(plan.trials)
+    )
+    for snr in plan.snr_list:
+        assert all(p.size == 0 for p in report.trial_peaks[("cbf", snr)])
+        assert report.entry("cbf", snr, 0).trials_used == 0
+        # the other algorithm of the same cells is untouched
+        for got, want in zip(
+            report.trial_peaks[("music", snr)], expected.trial_peaks[("music", snr)]
+        ):
+            assert_array_equal(got, want)
