@@ -10,8 +10,9 @@ on execution order and rerunning a plan reproduces every number.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,13 +232,7 @@ class _TrialData:
 
 
 def _with_bound(config: SolverConfig, bound: float) -> SolverConfig:
-    return SolverConfig(
-        residual_bound=float(bound),
-        reweight_xi=config.reweight_xi,
-        max_reweight_iters=config.max_reweight_iters,
-        inner_tol=config.inner_tol,
-        inner_max_iters=config.inner_max_iters,
-    )
+    return replace(config, residual_bound=float(bound))
 
 
 def _run_algorithm(data: _TrialData, alg: str):
@@ -435,6 +430,13 @@ def _trial_seed(base_seed: int, trial_index: int, snr_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 # Numerical failures that cost one (cell, algorithm) pair its peaks.
 _CELL_FAILURES = (SolverInfeasibleError, FocusingError, np.linalg.LinAlgError)
 
@@ -449,9 +451,12 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
 
     Args:
         plan: Sweep description.
-        threads: Worker threads; trials are independent and report assembly
-            is ordered, so the thread count never changes results.
+        threads: Worker threads, at most one per usable CPU: the solvers
+            hold the interpreter lock, so more threads only add switching.
+            Trials are independent and report assembly is ordered, so the
+            thread count never changes results.
     """
+    threads = min(threads, _usable_cpus())
     settings = plan.estimator_settings()
     dictionary = build_dictionary(plan.grid, plan.focus_frequency_hz, plan.geometry)
     cells = [(si, ti) for si in range(len(plan.snr_list)) for ti in range(plan.trials)]

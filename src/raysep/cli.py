@@ -4,7 +4,7 @@ All three subcommands read a JSON config (schema below), write their
 outputs under ``--out`` and exit with a stable code: 0 success, 2 config or
 dimension validation failure, 3 file I/O failure, 4 numerical failure.
 ``--seed`` overrides the config seed; ``--threads`` (or the RAYSEP_THREADS
-environment variable) sets benchmark parallelism.
+environment variable) sets benchmark threads, at most one per usable CPU.
 
 Config schemas (unknown keys are rejected, paths in error messages):
 
@@ -60,6 +60,7 @@ from .bench import (
     ALGORITHMS,
     EstimatorSettings,
     ExperimentPlan,
+    _default_solver,
     detect_peaks,
     estimate_spectra,
     run_experiment,
@@ -240,8 +241,9 @@ def _build_signal(cfg: dict, path: str = "signal"):
 
 
 def _build_solver(cfg: dict, path: str = "solver") -> SolverConfig:
+    default = _default_solver()
     if cfg is None:
-        return SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
+        return default
     cfg = _expect_dict(cfg, path)
     _check_keys(
         cfg, path,
@@ -251,13 +253,17 @@ def _build_solver(cfg: dict, path: str = "solver") -> SolverConfig:
     )
     try:
         return SolverConfig(
-            residual_bound=None if cfg.get("residual_bound") is None
+            residual_bound=default.residual_bound if cfg.get("residual_bound") is None
             else _number(cfg, path, "residual_bound"),
-            reweight_xi=None if cfg.get("reweight_xi") is None
+            reweight_xi=default.reweight_xi if cfg.get("reweight_xi") is None
             else _number(cfg, path, "reweight_xi"),
-            max_reweight_iters=_integer(cfg, path, "max_reweight_iters", default=10),
-            inner_tol=_number(cfg, path, "inner_tol", default=1e-4),
-            inner_max_iters=_integer(cfg, path, "inner_max_iters", default=600),
+            max_reweight_iters=_integer(
+                cfg, path, "max_reweight_iters", default=default.max_reweight_iters
+            ),
+            inner_tol=_number(cfg, path, "inner_tol", default=default.inner_tol),
+            inner_max_iters=_integer(
+                cfg, path, "inner_max_iters", default=default.inner_max_iters
+            ),
         )
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e

@@ -38,8 +38,6 @@ __all__ = [
     "read_snapshots_csv",
     "write_truth_json",
     "write_spectrum_csv",
-    "write_covariance_csv",
-    "write_eigenvalues_csv",
     "write_peaks_json",
     "write_report_csv",
     "write_report_json",
@@ -155,35 +153,6 @@ def write_spectrum_csv(path, spectrum, provenance: list) -> None:
     lines.append("# angle_deg,value")
     for angle, value in zip(spectrum.grid.angles_deg, values):
         lines.append(f"{_fmt(angle)},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_covariance_csv(path, spectral, provenance: list) -> None:
-    """Debug dump: row-major re/im-interleaved covariance entries."""
-    lines = ["# raysep covariance v1"]
-    lines.extend(provenance)
-    lines.append(
-        f"# M={spectral.num_sensors} num_snapshots={spectral.num_snapshots} "
-        f"frequency_hz={_fmt(spectral.frequency_hz)}"
-    )
-    for row in spectral.matrix:
-        cells = []
-        for z in row:
-            cells.append(_fmt(z.real))
-            cells.append(_fmt(z.imag))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_eigenvalues_csv(path, decomposition, provenance: list) -> None:
-    """Debug dump: descending eigenvalues with the signal/noise split marked."""
-    lines = ["# raysep eigenvalues v1"]
-    lines.extend(provenance)
-    lines.append(f"# signal_dimension={decomposition.num_paths}")
-    lines.append("# index,eigenvalue,subspace")
-    for k, lam in enumerate(decomposition.eigenvalues):
-        tag = "signal" if k < decomposition.num_paths else "noise"
-        lines.append(f"{k},{_fmt(lam)},{tag}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,30 +1,32 @@
-"""Sparse-recovery engines for angle spectra.
+"""Sparse-recovery programs for angle spectra, on one l1 engine.
 
-Three programs share one inner machine:
-
-* ``bpdn``: minimum l1 norm of a complex angle spectrum subject to a
-  residual bound on the snapshot fit.
-* ``reweighted_cs``: iteratively reweighted variant; the weight of each
-  grid angle is the reciprocal of its current aggregated magnitude, so
-  surviving support sharpens across passes. Handles one or many snapshots.
 * ``subspace_cs``: nonnegative l1 recovery of path powers from the
   row-stacked signal-subspace vector against the lifted dictionary.
+* ``reweighted_cs``: iteratively reweighted complex l1 over one or many
+  snapshots; the weight of each grid angle is the reciprocal of its current
+  aggregated magnitude, so surviving support sharpens across passes.
+* ``bpdn``: minimum l1 norm of a complex angle spectrum subject to a
+  residual bound on one snapshot, run as the first, unit-weight pass of
+  ``reweighted_cs``.
 
-The inner machine solves the penalized form by working-set cyclic
-coordinate descent: coordinates enter the working set only when they
-violate the stationarity conditions, every coordinate update is an exact
-one-dimensional minimization (so the objective never increases and
-off-support entries are exactly zero), and a full stationarity sweep
-certifies the solution. The penalty level is then bisected until the data
-residual lands just under the requested bound, which makes the returned
-point a stationary pair for the residual-constrained program. The contract
-is the achieved feasibility and stationarity tolerance, not the particular
-iteration.
+One engine, ``_cd_lasso``, solves the penalized form of all three by
+working-set cyclic coordinate descent: coordinates enter the working set
+only when they violate the stationarity conditions, every coordinate update
+is an exact one-dimensional minimization (so the objective never increases
+and off-support entries are exactly zero), a dense active-set polish of the
+working set is adopted when it lowers the objective, and a full
+stationarity sweep certifies the solution. Two penalties plug into it:
+``_ComplexL1`` (row-weighted l1 of complex coefficients) and ``_NonnegL1``
+(l1 of nonnegative real coefficients). The penalty level is then bisected
+until the data residual lands just under the requested bound, which makes
+the returned point a stationary pair for the residual-constrained program.
+The contract is the achieved feasibility and stationarity tolerance, not
+the particular iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -272,44 +274,124 @@ def _polish_complex(
 
 
 def _polish_nonneg(
-    a_sub: np.ndarray, b: np.ndarray, lam: float, x_sub: np.ndarray
-) -> np.ndarray | None:
-    """Active-set solve of the support-restricted nonnegative lasso."""
+    a_sub: np.ndarray, b: np.ndarray, lam_sub: np.ndarray, x_sub: np.ndarray
+) -> np.ndarray:
+    """Active-set solve of the support-restricted nonnegative lasso.
+
+    Starts from the live entries of ``x_sub``, which the caller keeps
+    nonempty.
+    """
     size = x_sub.size
     alive = x_sub > 0
-    if not np.any(alive):
-        return None
     out = np.zeros(size)
-    for _ in range(2 * size + 10):
-        idx = np.flatnonzero(alive)
+
+    def solve(idx):
         asub = a_sub[:, idx]
         h = (asub.conj().T @ asub).real
-        c = (asub.conj().T @ b).real - lam
-        z = _solve_psd(h, c)
+        c = (asub.conj().T @ b).real - lam_sub[idx]
+        return asub, _solve_psd(h, c)
+
+    for _ in range(2 * size + 10):
+        idx = np.flatnonzero(alive)
+        asub, z = solve(idx)
         while np.any(z <= 0):
             alive[idx[int(np.argmin(z))]] = False
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 return np.zeros(size)
-            asub = a_sub[:, idx]
-            h = (asub.conj().T @ asub).real
-            c = (asub.conj().T @ b).real - lam
-            z = _solve_psd(h, c)
+            asub, z = solve(idx)
         out[:] = 0
         out[idx] = z
         dropped = ~alive
         if np.any(dropped):
             corr = (a_sub.conj().T @ (b - asub @ z)).real
-            viol = corr[dropped] - lam
+            viol = corr[dropped] - lam_sub[dropped]
             worst_local = int(np.argmax(viol))
-            if viol[worst_local] > 1e-7 * max(lam, _TINY):
+            if viol[worst_local] > 1e-7 * max(float(np.max(lam_sub)), _TINY):
                 alive[np.flatnonzero(dropped)[worst_local]] = True
                 continue
         break
     return out
 
 
-def _cd_lasso_complex(
+class _ComplexL1:
+    """sum_q lam[q] * sum_l |x[q, l]| over complex x of shape (K, L)."""
+
+    @staticmethod
+    def sweep(a, r, x, order, lam_rows, col_norms_sq) -> float:
+        max_step = 0.0
+        for q in order:
+            aq = a[:, q]
+            u = aq.conj() @ r + col_norms_sq[q] * x[q]
+            xq_new = _soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
+            delta = xq_new - x[q]
+            step = float(np.max(np.abs(delta)))
+            if step > 0.0:
+                r -= np.outer(aq, delta)
+                x[q] = xq_new
+                max_step = max(
+                    max_step, step * col_norms_sq[q] / max(lam_rows[q], _TINY)
+                )
+        return max_step
+
+    @staticmethod
+    def violation(a, r, x, lam_rows) -> np.ndarray:
+        corr = a.conj().T @ r
+        viol = np.maximum(np.abs(corr) - lam_rows[:, None], 0.0)
+        nz = np.abs(x) > 0
+        line = corr - lam_rows[:, None] * (x / np.maximum(np.abs(x), _TINY))
+        viol[nz] = np.abs(line[nz])
+        return np.max(viol / np.maximum(lam_rows[:, None], _TINY), axis=1)
+
+    @staticmethod
+    def value(lam_rows, x) -> float:
+        return float(np.sum(lam_rows * np.sum(np.abs(x), axis=1)))
+
+    @staticmethod
+    def polish(a_sub, b, lam_sub, x_sub) -> np.ndarray:
+        # looked up per call, so a test can substitute a checked polish
+        return _polish_complex(a_sub, b, lam_sub, x_sub)
+
+
+class _NonnegL1:
+    """lam * sum(x) over real x >= 0 of shape (K,); ``lam_rows`` is all lam."""
+
+    @staticmethod
+    def sweep(a, r, x, order, lam_rows, col_norms_sq) -> float:
+        max_step = 0.0
+        for q in order:
+            aq = a[:, q]
+            u = (aq.conj() @ r).real + col_norms_sq[q] * x[q]
+            xq_new = max(u - lam_rows[q], 0.0) / col_norms_sq[q]
+            delta = xq_new - x[q]
+            if delta != 0.0:
+                r -= aq * delta
+                x[q] = xq_new
+                max_step = max(
+                    max_step, abs(delta) * col_norms_sq[q] / max(lam_rows[q], _TINY)
+                )
+        return max_step
+
+    @staticmethod
+    def violation(a, r, x, lam_rows) -> np.ndarray:
+        grad = lam_rows - (a.conj().T @ r).real  # gradient of the penalized objective
+        rel = np.where(x > 0, np.abs(grad), np.maximum(-grad, 0.0))
+        return rel / np.maximum(lam_rows, _TINY)
+
+    @staticmethod
+    def value(lam_rows, x) -> float:
+        # level times sum, not a sum of products: the two round differently
+        return float(lam_rows[0]) * float(np.sum(x))
+
+    polish = staticmethod(_polish_nonneg)
+
+
+def _support(x: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` holding a nonzero entry."""
+    return np.flatnonzero(x if x.ndim == 1 else np.any(x != 0, axis=1))
+
+
+def _cd_lasso(
     a: np.ndarray,
     b: np.ndarray,
     lam_rows: np.ndarray,
@@ -317,181 +399,64 @@ def _cd_lasso_complex(
     tol: float,
     max_sweeps: int,
     col_norms_sq: np.ndarray,
+    penalty,
 ) -> _InnerResult:
-    """Working-set coordinate descent for the complex weighted lasso.
+    """Working-set coordinate descent for an l1-penalized least-squares fit.
 
-    Minimizes 0.5 * ||a x - b||_F^2 + sum_q lam_rows[q] * sum_l |x[q, l]|.
-    Stationarity is measured relative to each coordinate's own threshold.
+    Minimizes 0.5 * ||a x - b||^2 + penalty.value(lam_rows, x). The penalty,
+    ``_ComplexL1`` or ``_NonnegL1``, supplies the parts that depend on it:
+
+    * ``sweep(a, r, x, order, lam_rows, col_norms_sq)``: one cyclic pass of
+      exact coordinate updates over ``order``, updating ``x`` and the
+      residual ``r`` in place; returns the largest step relative to its
+      coordinate's threshold;
+    * ``violation(a, r, x, lam_rows)``: per-row stationarity violation,
+      relative to the row's threshold;
+    * ``value(lam_rows, x)``: the penalty term;
+    * ``polish(a_sub, b, lam_sub, x_sub)``: dense active-set solve of the
+      problem restricted to the nonzero rows ``x_sub``.
     """
     x = x0.copy()
     r = b - a @ x
 
-    def objective():
-        return 0.5 * float(np.linalg.norm(r) ** 2) + float(
-            np.sum(lam_rows * np.sum(np.abs(x), axis=1))
-        )
+    def objective(res, lam, coef):
+        return 0.5 * float(np.linalg.norm(res) ** 2) + penalty.value(lam, coef)
 
-    history = [objective()]
-    active = set(int(q) for q in np.flatnonzero(np.any(x != 0, axis=1)))
-    tiny = _TINY
+    history = [objective(r, lam_rows, x)]
+    active = set(_support(x).tolist())
     sweeps = 0
-    kkt = np.inf
     for _ in range(_MAX_WORKING_SET_ROUNDS):
         # Exact solve on the working set.
         order = sorted(active)
         for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
             sweeps += 1
-            max_step = 0.0
-            for q in order:
-                aq = a[:, q]
-                u = aq.conj() @ r + col_norms_sq[q] * x[q]
-                xq_new = _soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
-                delta = xq_new - x[q]
-                step = float(np.max(np.abs(delta)))
-                if step > 0.0:
-                    r -= np.outer(aq, delta)
-                    x[q] = xq_new
-                    max_step = max(
-                        max_step, step * col_norms_sq[q] / max(lam_rows[q], tiny)
-                    )
-            history.append(objective())
+            max_step = penalty.sweep(a, r, x, order, lam_rows, col_norms_sq)
+            history.append(objective(r, lam_rows, x))
             if max_step <= 0.1 * tol or sweeps >= max_sweeps:
                 break
         # Dense polish on the working set; adopt only on objective decrease.
-        idx = sorted(int(q) for q in np.flatnonzero(np.any(x != 0, axis=1)))
-        if idx:
+        idx = _support(x)
+        if idx.size:
             sweeps += 1
             a_sub = a[:, idx]
-            x_cand = _polish_complex(a_sub, b, lam_rows[idx], x[idx])
+            x_cand = penalty.polish(a_sub, b, lam_rows[idx], x[idx])
             r_cand = b - a_sub @ x_cand
-            f_cand = 0.5 * float(np.linalg.norm(r_cand) ** 2) + float(
-                np.sum(lam_rows[idx] * np.sum(np.abs(x_cand), axis=1))
-            )
+            f_cand = objective(r_cand, lam_rows[idx], x_cand)
             if f_cand <= history[-1]:
                 x[:] = 0
                 x[idx] = x_cand
                 r = r_cand
                 history.append(f_cand)
-        active = set(int(q) for q in np.flatnonzero(np.any(x != 0, axis=1)))
+        active = set(_support(x).tolist())
         # Full stationarity pass; admit violating coordinates.
-        corr = a.conj().T @ r
-        viol = np.maximum(np.abs(corr) - lam_rows[:, None], 0.0)
-        nz = np.abs(x) > 0
-        line = corr - lam_rows[:, None] * _phases(x)
-        viol[nz] = np.abs(line[nz])
-        rel = viol / np.maximum(lam_rows[:, None], tiny)
-        kkt = float(np.max(rel))
-        if kkt <= tol or sweeps >= max_sweeps:
-            break
-        row_rel = np.max(rel, axis=1)
-        newcomers = np.flatnonzero(row_rel > tol)
-        newcomers = newcomers[np.argsort(-row_rel[newcomers], kind="stable")]
-        before = len(active)
-        active.update(int(q) for q in newcomers[:_NEW_COORDS_PER_ROUND])
-        if len(active) == before:
-            break
-    return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history)
-
-
-def _phases(v: np.ndarray) -> np.ndarray:
-    return v / np.maximum(np.abs(v), _TINY)
-
-
-def _cd_lasso_nonneg(
-    a: np.ndarray,
-    b: np.ndarray,
-    lam: float,
-    x0: np.ndarray,
-    tol: float,
-    max_sweeps: int,
-    col_norms_sq: np.ndarray,
-    nuisance_mask: np.ndarray | None = None,
-    nuisance_radius: float = 0.0,
-) -> _InnerResult:
-    """Working-set coordinate descent for the nonnegative lasso.
-
-    Minimizes 0.5 * ||a x (+ d) - b||^2 + lam * sum(x) over real x >= 0.
-    When ``nuisance_mask`` is given, a complex nuisance vector supported on
-    the masked entries and confined to an l2 ball of radius
-    ``nuisance_radius`` is re-fit exactly between coordinate sweeps; the
-    reported residual includes the nuisance fit.
-    """
-    x = x0.copy()
-    d = np.zeros_like(b)
-    r = b - a @ x
-
-    def refit_nuisance():
-        nonlocal d, r
-        free = r + d
-        d_new = np.where(nuisance_mask, free, 0.0)
-        norm = float(np.linalg.norm(d_new))
-        if norm > nuisance_radius:
-            d_new *= nuisance_radius / norm
-        r = free - d_new
-        d = d_new
-
-    def objective():
-        return 0.5 * float(np.linalg.norm(r) ** 2) + lam * float(np.sum(x))
-
-    if nuisance_mask is not None:
-        refit_nuisance()
-    history = [objective()]
-    active = set(int(q) for q in np.flatnonzero(x > 0))
-    tiny = _TINY
-    sweeps = 0
-    kkt = np.inf
-    for _ in range(_MAX_WORKING_SET_ROUNDS):
-        order = sorted(active)
-        for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
-            sweeps += 1
-            max_step = 0.0
-            for q in order:
-                aq = a[:, q]
-                u = (aq.conj() @ r).real + col_norms_sq[q] * x[q]
-                xq_new = max(u - lam, 0.0) / col_norms_sq[q]
-                delta = xq_new - x[q]
-                if delta != 0.0:
-                    r -= aq * delta
-                    x[q] = xq_new
-                    max_step = max(
-                        max_step, abs(delta) * col_norms_sq[q] / max(lam, tiny)
-                    )
-            if nuisance_mask is not None:
-                refit_nuisance()
-            history.append(objective())
-            if max_step <= 0.1 * tol or sweeps >= max_sweeps:
-                break
-        # Dense polish on the working set; adopt only on objective decrease.
-        idx = sorted(int(q) for q in np.flatnonzero(x > 0))
-        if idx:
-            sweeps += 1
-            a_sub = a[:, idx]
-            polished = _polish_nonneg(a_sub, b - d, lam, x[idx])
-            if polished is not None:
-                r_cand = b - d - a_sub @ polished
-                f_cand = 0.5 * float(np.linalg.norm(r_cand) ** 2) + lam * float(
-                    np.sum(polished)
-                )
-                if f_cand <= history[-1]:
-                    x[:] = 0
-                    x[idx] = polished
-                    r = r_cand
-                    if nuisance_mask is not None:
-                        refit_nuisance()
-                    history.append(objective())
-        active = set(int(q) for q in np.flatnonzero(x > 0))
-        corr = (a.conj().T @ r).real
-        grad_plus = lam - corr  # gradient of the penalized objective
-        rel = np.where(x > 0, np.abs(grad_plus), np.maximum(-grad_plus, 0.0)) / max(
-            lam, tiny
-        )
+        rel = penalty.violation(a, r, x, lam_rows)
         kkt = float(np.max(rel))
         if kkt <= tol or sweeps >= max_sweeps:
             break
         newcomers = np.flatnonzero(rel > tol)
         newcomers = newcomers[np.argsort(-rel[newcomers], kind="stable")]
         before = len(active)
-        active.update(int(q) for q in newcomers[:_NEW_COORDS_PER_ROUND])
+        active.update(newcomers[:_NEW_COORDS_PER_ROUND].tolist())
         if len(active) == before:
             break
     return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history)
@@ -503,23 +468,33 @@ def _effective_bound(bound: float | None, data_norm: float) -> float:
     return max(float(bound), _BOUND_FLOOR_REL * data_norm)
 
 
-def _bisect_penalty(solve_at, lam_max: float, bound: float, zero_x: np.ndarray):
-    """Walk the penalty down to feasibility, then bisect toward the bound.
+def _bisect_penalty(
+    a, b, weights, x0, penalty, norms, config: SolverConfig, lam_max: float, bound: float
+):
+    """Walk the penalty level down to feasibility, then bisect toward the bound.
 
-    ``solve_at(lam, x0)`` returns an _InnerResult. Returns the feasible
-    result with the largest penalty whose residual is at most ``bound``,
-    aiming for a residual within (1 - _BISECT_BAND) of it. The returned
-    result keeps the objective history of its own (final) inner run.
+    Each inner solve runs ``_cd_lasso`` at per-row penalties
+    ``lam * weights``, warm-started from an earlier solve. Returns the
+    feasible result with the largest level whose residual is at most
+    ``bound``, aiming for a residual within (1 - _BISECT_BAND) of it, and
+    the summed sweep count of every inner run. The returned result keeps
+    the objective history of its own (final) inner run.
 
     Raises:
         SolverInfeasibleError: If no penalty reaches the bound.
     """
+
+    def solve_at(lam, x_start):
+        return _cd_lasso(
+            a, b, lam * weights, x_start, config.inner_tol, config.inner_max_iters,
+            norms, penalty,
+        )
+
     total_iters = 0
     lam_hi = lam_max
     lam = lam_max
-    x_warm = zero_x
+    x_warm = x0
     feasible = None
-    res = None
     for _ in range(18):
         lam /= 10.0
         res = solve_at(lam, x_warm)
@@ -547,11 +522,11 @@ def _bisect_penalty(solve_at, lam_max: float, bound: float, zero_x: np.ndarray):
             lam_lo, best = lam_mid, res
         else:
             lam_hi = lam_mid
-    return best, total_iters, best.objective_history
+    return best, total_iters
 
 
 def _spectrum_from_result(
-    grid, values, method, result, total_iters, bound, history, l1_objective, tol
+    grid, values, method, result, total_iters, bound, tol
 ) -> SparseSpectrum:
     feasible = result.residual <= bound * (1.0 + _FEASIBILITY_SLACK)
     stationary = result.kkt <= tol
@@ -562,9 +537,9 @@ def _spectrum_from_result(
         iterations=total_iters,
         residual=result.residual,
         residual_bound=bound,
-        objective=l1_objective,
+        objective=float(np.sum(np.abs(result.x))),
         converged=bool(feasible and stationary),
-        objective_history=np.asarray(history),
+        objective_history=np.asarray(result.objective_history),
     )
 
 
@@ -603,6 +578,9 @@ def bpdn(
 ) -> SparseSpectrum:
     """Basis-pursuit denoising: min ||s||_1 s.t. ||G s - y||_2 <= bound.
 
+    This is the first, unit-weight pass of ``reweighted_cs`` on one
+    snapshot.
+
     Args:
         dictionary: Over-complete steering dictionary.
         snapshot: Complex observation vector (length num_sensors).
@@ -613,37 +591,11 @@ def bpdn(
         SparseSpectrum with complex values over the grid.
     """
     config = config or SolverConfig()
-    a = dictionary.matrix
     y = _snapshot_array(snapshot)
     if y.shape[1] != 1:
         raise ValueError("bpdn takes a single snapshot; use reweighted_cs for several")
-    if y.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"snapshot length {y.shape[0]} does not match {a.shape[0]} sensors"
-        )
-    data_norm = float(np.linalg.norm(y))
-    bound = _effective_bound(config.residual_bound, data_norm)
-    grid = dictionary.grid
-    if data_norm <= bound:
-        return _zero_spectrum(grid, "bpdn", bound, data_norm, dtype=complex)
-
-    lam_max = float(np.max(np.abs(a.conj().T @ y)))
-    norms = np.sum(np.abs(a) ** 2, axis=0)
-    ones = np.ones(a.shape[1])
-
-    def solve_at(lam, x0):
-        return _cd_lasso_complex(
-            a, y, lam * ones, x0, config.inner_tol, config.inner_max_iters, norms
-        )
-
-    best, iters, history = _bisect_penalty(
-        solve_at, lam_max, bound, np.zeros((a.shape[1], 1), dtype=complex)
-    )
-    values = best.x[:, 0]
-    return _spectrum_from_result(
-        grid, values, "bpdn", best, iters, bound, history,
-        float(np.sum(np.abs(values))), config.inner_tol,
-    )
+    spectrum = reweighted_cs(dictionary, y, replace(config, max_reweight_iters=1))
+    return replace(spectrum, method="bpdn")
 
 
 def reweighted_cs(
@@ -687,19 +639,12 @@ def reweighted_cs(
     x_warm = np.zeros((a.shape[1], num_l), dtype=complex)
     prev_agg = None
     total_iters = 0
-    history: list = []
-    best = None
     for _ in range(config.max_reweight_iters):
         lam_max = float(np.max(corr0 / weights[:, None]))
-
-        def solve_at(lam, x0, w=weights):
-            return _cd_lasso_complex(
-                a, y, lam * w, x0, config.inner_tol, config.inner_max_iters, norms
-            )
-
-        best, iters, hist = _bisect_penalty(solve_at, lam_max, bound, x_warm)
+        best, iters = _bisect_penalty(
+            a, y, weights, x_warm, _ComplexL1, norms, config, lam_max, bound
+        )
         total_iters += iters
-        history = hist
         x_warm = best.x
         agg = np.sum(np.abs(best.x), axis=1)
         if xi is None:
@@ -713,35 +658,23 @@ def reweighted_cs(
         weights = 1.0 / (agg + xi)
 
     values = best.x[:, 0] if num_l == 1 else np.sum(np.abs(best.x), axis=1)
-    objective = float(np.sum(np.abs(best.x)))
     return _spectrum_from_result(
-        grid, values, "reweighted_cs", best, total_iters, bound, history, objective,
-        config.inner_tol,
+        grid, values, "reweighted_cs", best, total_iters, bound, config.inner_tol
     )
 
 
-def subspace_cs(
-    lifted: LiftedSystem,
-    config: SolverConfig | None = None,
-    cross_term_mode: str = "fold",
-    cross_term_bound: float | None = None,
-) -> SparseSpectrum:
+def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> SparseSpectrum:
     """Nonnegative l1 recovery of path powers from the lifted system.
 
     Solves min ||p||_1 over p >= 0 subject to
     ``||vector - matrix @ p|| <= bound``. Peak positions of the returned
-    values are the arrival-angle estimates.
+    values are the arrival-angle estimates. Path cross terms are not
+    modelled; they are absorbed by the residual bound.
 
     Args:
         lifted: Vectorized signal subspace and lifted dictionary.
         config: Tolerances; ``residual_bound`` is the covariance-domain
             residual allowance (see ``choose_delta``).
-        cross_term_mode: ``"fold"`` absorbs path cross terms into the
-            residual bound; ``"joint"`` additionally estimates a nuisance
-            vector confined to unequal-sensor-pair rows with norm at most
-            ``cross_term_bound``.
-        cross_term_bound: Nuisance-vector norm cap for joint mode; defaults
-            to half the energy of the unequal-pair rows of the data vector.
 
     Raises:
         SolverInfeasibleError: If the bound is below the best achievable
@@ -755,33 +688,16 @@ def subspace_cs(
     bound = _effective_bound(config.residual_bound, data_norm)
     if data_norm <= bound:
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
-    if cross_term_mode not in ("fold", "joint"):
-        raise ValueError(f"unknown cross_term_mode {cross_term_mode!r}")
 
     norms = np.sum(np.abs(a) ** 2, axis=0)
     corr = (a.conj().T @ b).real
     lam_max = max(float(np.max(corr)), np.finfo(float).tiny)
-
-    mask = None
-    radius = 0.0
-    if cross_term_mode == "joint":
-        m = int(round(np.sqrt(a.shape[0])))
-        mask = ~np.eye(m, dtype=bool).reshape(-1)
-        if cross_term_bound is None:
-            cross_term_bound = 0.5 * float(np.linalg.norm(b[mask]))
-        radius = float(cross_term_bound)
-
-    def solve_at(lam, x0):
-        return _cd_lasso_nonneg(
-            a, b, lam, x0, config.inner_tol, config.inner_max_iters, norms,
-            nuisance_mask=mask, nuisance_radius=radius,
-        )
-
-    best, iters, history = _bisect_penalty(solve_at, lam_max, bound, np.zeros(a.shape[1]))
-    values = best.x
+    best, iters = _bisect_penalty(
+        a, b, np.ones(a.shape[1]), np.zeros(a.shape[1]), _NonnegL1, norms, config,
+        lam_max, bound,
+    )
     return _spectrum_from_result(
-        grid, values, "subspace_cs", best, iters, bound, history,
-        float(np.sum(values)), config.inner_tol,
+        grid, best.x, "subspace_cs", best, iters, bound, config.inner_tol
     )
 
 

@@ -108,25 +108,6 @@ def focusing_transform(
     return u @ vh
 
 
-def focusing_residuals(
-    transform: np.ndarray,
-    from_frequency_hz: float,
-    to_frequency_hz: float,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
-) -> np.ndarray:
-    """Per-grid-angle alignment error ||T g_from - g_to|| / sqrt(M).
-
-    Diagnostic companion to ``focusing_transform``; values are bounded by
-    sqrt(2) (orthogonal vectors) and should sit well below 1 for usable
-    focusing bands.
-    """
-    g_from = build_dictionary(grid, from_frequency_hz, geometry).matrix
-    g_to = build_dictionary(grid, to_frequency_hz, geometry).matrix
-    err = transform @ g_from - g_to
-    return np.linalg.norm(err, axis=0) / np.sqrt(geometry.num_sensors)
-
-
 def focus_and_smooth(
     bins: list[SnapshotMatrix],
     focus_frequency_hz: float | None,
@@ -169,11 +150,3 @@ def focus_and_smooth(
         frequency_hz=float(focus_frequency_hz),
     )
 
-
-def matrix_as_interleaved(r: np.ndarray) -> np.ndarray:
-    """Row-major real/imag interleaving of a complex matrix, for CSV dumps."""
-    flat = np.ascontiguousarray(r).reshape(-1)
-    out = np.empty(2 * flat.size)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.reshape(r.shape[0], 2 * r.shape[1])

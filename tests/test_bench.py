@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -258,3 +260,53 @@ def test_run_experiment_flags_numerical_failure_and_completes(monkeypatch, error
             report.trial_peaks[("music", snr)], expected.trial_peaks[("music", snr)]
         ):
             assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, asked, workers",
+    [
+        ({0, 1}, 8, 8, [2]),  # clamped to the CPUs the process may run on
+        ({0, 1, 2, 3}, 8, 3, [3]),  # fewer threads than CPUs: kept
+        ({0}, 8, 4, []),  # one CPU: serial, no executor
+        (None, 3, 8, [3]),  # no affinity support: os.cpu_count()
+        (None, None, 8, []),  # unknown CPU count: serial
+    ],
+)
+def test_run_experiment_clamps_threads_to_usable_cpus(
+    monkeypatch, affinity, cpu_count, asked, workers
+):
+    geom, paths, grid = bench_fixture()
+    plan = ExperimentPlan(
+        paths=paths, geometry=geom, grid=grid,
+        snr_list=(10.0,), trials=2, algorithms=("cbf",),
+        seed=4, band_hz=(1400.0, 1600.0), num_bins=2, num_snapshots=16,
+    )
+    expected = run_experiment(plan)
+    created = []
+
+    class RecordingExecutor:
+        """Records the worker count and runs the cells in this thread."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: affinity, raising=False
+        )
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(raysep.bench, "ThreadPoolExecutor", RecordingExecutor)
+    report = run_experiment(plan, threads=asked)
+    assert created == workers
+    assert report.to_json_dict() == expected.to_json_dict()

@@ -269,3 +269,12 @@ def test_provenance_headers_present(tmp_path):
     assert "config_sha256=" in header and "seed=77" in header
     truth = json.loads((out / "truth.json").read_text())
     assert truth["_provenance"]["seed"] == 77
+
+
+def test_partial_solver_block_keeps_the_default_solver():
+    from raysep.cli import _build_solver
+
+    partial = _build_solver({"inner_tol": 1e-4})
+    assert partial == _build_solver(None)
+    assert partial.max_reweight_iters == 6
+    assert _build_solver({"max_reweight_iters": 2}).max_reweight_iters == 2

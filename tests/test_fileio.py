@@ -1,20 +1,15 @@
-import numpy as np
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from raysep import (
     ArrayGeometry,
     NoiseSpec,
     RaypathSet,
-    decompose,
-    estimate_spectral_matrix,
     synthesize_broadband,
 )
 from raysep.fileio import (
     config_hash,
     provenance_lines,
     read_snapshots_csv,
-    write_covariance_csv,
-    write_eigenvalues_csv,
     write_snapshots_csv,
 )
 
@@ -53,27 +48,3 @@ def test_config_hash_is_order_insensitive():
     b = {"y": [1, 2], "x": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"x": 2, "y": [1, 2]})
-
-
-def test_covariance_dump_roundtrip(tmp_path):
-    bins = sample_bins()
-    spectral = estimate_spectral_matrix(bins[0])
-    path = tmp_path / "cov.csv"
-    write_covariance_csv(path, spectral, ["# version=0 config_sha256=x seed=0"])
-    rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
-    data = np.array([[float(c) for c in r.split(",")] for r in rows])
-    rebuilt = data[:, 0::2] + 1j * data[:, 1::2]
-    assert_allclose(rebuilt, spectral.matrix, atol=0)
-
-
-def test_eigenvalue_dump_tags_subspaces(tmp_path):
-    bins = sample_bins()
-    dec = decompose(estimate_spectral_matrix(bins[0]), 1)
-    path = tmp_path / "eigs.csv"
-    write_eigenvalues_csv(path, dec, ["# version=0 config_sha256=x seed=0"])
-    rows = [r for r in path.read_text().splitlines() if r and not r.startswith("#")]
-    assert len(rows) == 4
-    assert rows[0].endswith("signal")
-    assert all(r.endswith("noise") for r in rows[1:])
-    values = [float(r.split(",")[1]) for r in rows]
-    assert_allclose(values, dec.eigenvalues, atol=0)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,42 +232,6 @@ def test_subspace_cs_infeasible_bound_reports_min_residual():
     assert exc.value.min_residual > 0
 
 
-def test_subspace_cs_joint_mode_absorbs_cross_terms():
-    _, grid, d = medium_dictionary()
-    m = d.num_sensors
-    lifted_matrix = lift_dictionary(d)
-    q1, q2 = 60, 95
-    powers = np.array([1.0, 1.0])
-    clean = lifted_matrix[:, [q1, q2]] @ powers
-    # coherent cross term: g1 g2^H + g2 g1^H, row-stacked
-    g1, g2 = d.matrix[:, q1], d.matrix[:, q2]
-    cross = (np.outer(g1, g2.conj()) + np.outer(g2, g1.conj())).reshape(-1)
-    lifted = LiftedSystem(clean + cross, lifted_matrix, grid)
-    # the nuisance lives on unequal sensor pairs; the equal-pair part of the
-    # cross term must still fit inside the residual bound
-    equal_pairs = np.eye(m, dtype=bool).reshape(-1)
-    kappa = float(np.linalg.norm(cross[~equal_pairs]))
-    bound = 1.1 * float(np.linalg.norm(cross[equal_pairs]))
-    cfg = SolverConfig(residual_bound=bound, inner_tol=1e-6, inner_max_iters=2000)
-    spec = subspace_cs(lifted, cfg, cross_term_mode="joint", cross_term_bound=kappa)
-    assert np.all(spec.values >= 0)
-    assert spec.residual <= bound * (1 + 1e-6)
-    # the equal-pair cross component biases peaks by at most one grid cell
-    peaks = detect_peaks(spec, 2)
-    truth = np.sort(grid.angles_deg[[q1, q2]])
-    assert peaks.size == 2
-    assert np.max(np.abs(peaks - truth)) <= 1.0 + 1e-9
-    # the joint mode got by with a far smaller residual allowance than
-    # folding the whole cross term would need
-    assert np.linalg.norm(cross) > 2 * bound
-
-
-def test_subspace_cs_rejects_unknown_mode():
-    lifted, _, _, _ = lifted_single_path()
-    with pytest.raises(ValueError):
-        subspace_cs(lifted, cross_term_mode="magic")
-
-
 def test_objective_history_monotone():
     _, grid, d = medium_dictionary()
     y = 2.0 * d.matrix[:, 44] - 0.7 * d.matrix[:, 101]
@@ -497,3 +462,25 @@ def test_polish_reproduces_one_column_loop_inside_reweighted_solve(monkeypatch):
     monkeypatch.setattr(raysep.solvers, "_polish_complex", checked)
     reweighted_cs(d, snap, cfg)
     assert seen["rank_deficient"] >= 0.25 * seen["columns"] > 0
+
+
+def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
+    # A coherent five-path Table-1 style snapshot at 0 dB with the bench's
+    # noise-norm bound: the solve walks the penalty down, bisects and polishes.
+    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
+    d = build_dictionary(AngleGrid.uniform(-10.0, 10.0, 0.2), 1500.0, geom)
+    paths = RaypathSet([-6.0, -2.5, 0.4, 3.1, 7.0], [1.0, 0.8, 0.9, 0.7, 0.6],
+                       [0.0, 0.001, 0.002, 0.003, 0.004])
+    snap = synthesize_snapshots(paths, 1500.0, 1, NoiseSpec(0.0, 5), geom, "coherent")
+    eps = 1.1 * np.sqrt(snap.noise_power * 11)
+    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
+                       max_reweight_iters=6)
+    bp = bpdn(d, snap.data[:, 0], cfg)
+    rw = reweighted_cs(d, snap.data[:, 0], replace(cfg, max_reweight_iters=1))
+    assert bp.method == "bpdn" and rw.method == "reweighted_cs"
+    np.testing.assert_array_equal(bp.values, rw.values)
+    assert bp.residual == rw.residual
+    assert bp.iterations == rw.iterations
+    assert bp.converged == rw.converged
+    assert bp.objective == rw.objective
+    assert np.count_nonzero(bp.values) >= 2

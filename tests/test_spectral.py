@@ -10,6 +10,7 @@ from raysep import (
     RaypathSet,
     SnapshotMatrix,
     SpectralMatrix,
+    build_dictionary,
     estimate_spectral_matrix,
     focus_and_smooth,
     focusing_transform,
@@ -17,7 +18,6 @@ from raysep import (
     synthesize_broadband,
     synthesize_snapshots,
 )
-from raysep.spectral import focusing_residuals, matrix_as_interleaved
 
 
 def geometry():
@@ -90,6 +90,18 @@ def test_single_bin_focusing_is_identity():
     assert_allclose(t, np.eye(8), atol=1e-10)
 
 
+def focusing_residuals(transform, from_frequency_hz, to_frequency_hz, grid, geometry):
+    """Per-grid-angle alignment error ||T g_from - g_to|| / sqrt(M).
+
+    Bounded by sqrt(2) (orthogonal vectors); it should sit well below 1 for
+    usable focusing bands.
+    """
+    g_from = build_dictionary(grid, from_frequency_hz, geometry).matrix
+    g_to = build_dictionary(grid, to_frequency_hz, geometry).matrix
+    err = transform @ g_from - g_to
+    return np.linalg.norm(err, axis=0) / np.sqrt(geometry.num_sensors)
+
+
 def test_focusing_transform_is_unitary_and_aligns_steering():
     geom = geometry()
     grid = AngleGrid.uniform(-40.0, 40.0, 1.0)
@@ -142,10 +154,3 @@ def test_focusing_rejects_degenerate_grid():
         focusing_transform(1000.0, 2000.0, grid, geom)
     assert "condition number" in str(exc.value)
 
-
-def test_matrix_interleaved_roundtrip():
-    rng = np.random.default_rng(4)
-    r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    flat = matrix_as_interleaved(r)
-    rebuilt = flat[:, 0::2] + 1j * flat[:, 1::2]
-    assert_allclose(rebuilt, r, atol=0)
