@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("subspace_cs", "reweighted_cs", "bpdn", "music", "cbf")
+# Algorithms that return a SparseSpectrum, whose outcome the report counts.
+_SPARSE = ("subspace_cs", "reweighted_cs", "bpdn")
 
 
 def detect_peaks(spectrum, num_paths: int) -> np.ndarray:
@@ -174,8 +176,9 @@ class EstimatorSettings:
         subspace_retry: The noise-floor residual allowance knows nothing
             about path cross terms, which dominate at high SNR and can push
             the requested bound below what any nonnegative fit can reach.
-            When True (default), an infeasible subspace solve is retried
-            once at 1.1x the reported achievable residual; when False the
+            ``subspace_cs`` then refuses the bound at once, carrying the
+            certified nonnegative least-squares floor. When True (default),
+            the solve is retried once at 1.1x that floor; when False the
             infeasibility propagates.
         solver: Inner-solver tolerances for all sparse programs.
     """
@@ -212,6 +215,7 @@ class _TrialData:
         self.focus_hz = focus_hz
         freqs = np.array([b.frequency_hz for b in bins])
         self.center = bins[int(np.argmin(np.abs(freqs - focus_hz)))]
+        self.retried = set()  # algorithms whose solve was retried
         self._raw = None
         self._smooth = None
 
@@ -268,6 +272,7 @@ def _run_algorithm(data: _TrialData, alg: str):
         except SolverInfeasibleError as e:
             if not s.subspace_retry:
                 raise
+            data.retried.add(alg)
             retry_bound = max(bound, 1.1 * e.min_residual)
             return subspace_cs(lifted, _with_bound(s.solver, retry_bound))
     raise ValueError(f"unknown algorithm {alg!r}")
@@ -373,6 +378,9 @@ class RmseReport:
     entries: tuple
     trial_peaks: dict
     flagged_trials: tuple
+    # (algorithm, snr) -> {outcome: number of trials} for the sparse
+    # algorithms; the outcomes are retried, zero_spectrum and not_converged
+    solver_outcomes: dict = field(default_factory=dict)
 
     def entry(self, algorithm: str, snr_db: float, path_index: int) -> ReportEntry:
         for e in self.entries:
@@ -405,6 +413,9 @@ class RmseReport:
             detail.setdefault(alg, {})[str(snr)] = [
                 [float(a) for a in p] for p in per_trial
             ]
+        outcomes = {}
+        for (alg, snr), counts in self.solver_outcomes.items():
+            outcomes.setdefault(alg, {})[str(snr)] = dict(counts)
         return {
             "truth_angles_deg": [float(a) for a in self.truth_angles],
             "snr_db": [float(s) for s in self.snr_list],
@@ -422,6 +433,7 @@ class RmseReport:
             ],
             "per_trial_peaks_deg": detail,
             "flagged_trials": [list(t) for t in self.flagged_trials],
+            "solver_outcomes": outcomes,
         }
 
 
@@ -448,6 +460,12 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
     algorithm's solve is infeasible, its focusing transform is rank
     deficient or a linear solve fails, the trial is recorded with no peaks
     for that algorithm and listed in ``flagged_trials``.
+
+    Solves that return but deserve a look are counted, per sparse algorithm
+    and SNR, in ``solver_outcomes``: retried at a raised bound
+    (``subspace_retry``), all-zero spectrum (the residual allowance already
+    covers the data), and not converged (infeasible or not stationary).
+    They keep their peaks and are not flagged.
 
     Args:
         plan: Sweep description.
@@ -476,6 +494,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
         data = _TrialData(settings, bins, dictionary, plan.focus_frequency_hz)
         peaks = {}
         flagged = []
+        outcomes = {}
         for alg in plan.algorithms:
             try:
                 spectrum = _run_algorithm(data, alg)
@@ -483,23 +502,36 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
             except _CELL_FAILURES:
                 got = np.empty(0)
                 flagged.append((alg, si, ti))
+                spectrum = None
             peaks[alg] = got
-        return cell, peaks, flagged
+            if alg in _SPARSE:
+                outcomes[alg] = {
+                    "retried": alg in data.retried,
+                    "zero_spectrum": spectrum is not None and not np.any(spectrum.values),
+                    "not_converged": spectrum is not None and not spectrum.converged,
+                }
+        return cell, peaks, flagged, outcomes
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             raw = list(pool.map(run_cell, cells))
     else:
         raw = [run_cell(c) for c in cells]
-    by_cell = {cell: (peaks, flagged) for cell, peaks, flagged in raw}
+    by_cell = {cell: rest for cell, *rest in raw}
 
     trial_peaks = {}
     flagged_trials = []
+    solver_outcomes = {}
     for si, snr in enumerate(plan.snr_list):
         for alg in plan.algorithms:
             trial_peaks[(alg, snr)] = [
                 by_cell[(si, ti)][0][alg] for ti in range(plan.trials)
             ]
+            if alg in _SPARSE:
+                per_trial = [by_cell[(si, ti)][2][alg] for ti in range(plan.trials)]
+                solver_outcomes[(alg, snr)] = {
+                    name: sum(o[name] for o in per_trial) for name in per_trial[0]
+                }
         for ti in range(plan.trials):
             for alg, fsi, fti in by_cell[(si, ti)][1]:
                 flagged_trials.append((alg, float(plan.snr_list[fsi]), fti))
@@ -528,4 +560,5 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
         entries=tuple(entries),
         trial_peaks=trial_peaks,
         flagged_trials=tuple(flagged_trials),
+        solver_outcomes=solver_outcomes,
     )

@@ -21,7 +21,9 @@ stationarity sweep certifies the solution. Two penalties plug into it:
 until the data residual lands just under the requested bound, which makes
 the returned point a stationary pair for the residual-constrained program.
 The contract is the achieved feasibility and stationarity tolerance, not
-the particular iteration.
+the particular iteration. ``subspace_cs`` first checks its bound against
+the nonnegative least-squares floor (``_nonneg_floor``), so an unreachable
+bound is refused without a penalty search.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ _FEASIBILITY_SLACK = 1e-6
 _MAX_WORKING_SET_ROUNDS = 200
 _NEW_COORDS_PER_ROUND = 25
 _SWEEPS_PER_ROUND = 25
+# Lawson–Hanson stationarity test, relative to ||a_j|| * ||residual||.
+_NNLS_KKT_REL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
@@ -462,6 +466,64 @@ def _cd_lasso(
     return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history)
 
 
+def _nonneg_floor(
+    a: np.ndarray, b: np.ndarray, corr: np.ndarray, col_norms_sq: np.ndarray, bound: float
+) -> float | None:
+    """Certified min ||b - a p|| over p >= 0, when it exceeds ``bound``.
+
+    Lawson–Hanson active-set NNLS on the real normal equations
+    Re(aᴴa) p = Re(aᴴb) = ``corr``: each outer step moves the coordinate
+    whose correlation with the residual is largest into the passive set,
+    solves the passive set exactly, and, while a passive entry of that
+    solution is nonpositive, steps back along the segment to the last
+    nonnegative point and drops the entry it zeroes. It stops when no
+    coordinate correlates with the residual r by more than
+    ``_NNLS_KKT_REL * ||a_j|| * ||r||``; when the passive entries also meet
+    that test in absolute value, the iterate is stationary and ||r|| is the
+    certified floor.
+
+    Every p >= 0 only bounds the floor from above, so nothing short of that
+    certificate is reported: returns None as soon as an iterate's residual
+    is within ``bound`` (the bound is reachable) or when the step cap is
+    hit first.
+    """
+    x = np.zeros(a.shape[1])
+    passive = np.zeros(a.shape[1], dtype=bool)
+    col_norms = np.sqrt(col_norms_sq)
+    r = b
+    for _ in range(3 * a.shape[1]):
+        residual = float(np.linalg.norm(r))
+        if residual <= bound:
+            return None
+        grad = (a.conj().T @ r).real
+        slack = _NNLS_KKT_REL * col_norms * residual
+        excess = np.where(passive, -np.inf, grad - slack)
+        j = int(np.argmax(excess))
+        if excess[j] <= 0.0:
+            # certified only if the passive entries are stationary too
+            stationary = np.all(np.abs(grad[passive]) <= slack[passive])
+            return residual if stationary else None
+        passive[j] = True
+        while passive.any():
+            idx = np.flatnonzero(passive)
+            sub = a[:, idx]
+            z = _solve_psd((sub.conj().T @ sub).real, corr[idx])
+            if np.all(z > 0.0):
+                x[idx] = z
+                break
+            # step back to where the first nonpositive entry reaches zero
+            neg = np.flatnonzero(z <= 0.0)
+            x_neg = x[idx[neg]]
+            ratios = np.where(x_neg > 0.0, x_neg / np.maximum(x_neg - z[neg], _TINY), 0.0)
+            m = int(np.argmin(ratios))
+            x[idx] += ratios[m] * (z - x[idx])
+            x[idx[neg[m]]] = 0.0
+            passive &= x > 0.0
+        idx = np.flatnonzero(passive)
+        r = b - a[:, idx] @ x[idx]
+    return None
+
+
 def _effective_bound(bound: float | None, data_norm: float) -> float:
     if bound is None:
         bound = 0.0
@@ -671,6 +733,12 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     values are the arrival-angle estimates. Path cross terms are not
     modelled; they are absorbed by the residual bound.
 
+    Before the penalty search, a Lawson–Hanson nonnegative least-squares
+    solve looks for the smallest residual any p >= 0 reaches. It stops as
+    soon as the bound is reached, and then the search runs; when it
+    certifies a floor above the bound, the bound is refused without any
+    penalized solve.
+
     Args:
         lifted: Vectorized signal subspace and lifted dictionary.
         config: Tolerances; ``residual_bound`` is the covariance-domain
@@ -678,7 +746,9 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
 
     Raises:
         SolverInfeasibleError: If the bound is below the best achievable
-            residual (the error carries the achievable value).
+            residual. ``min_residual`` is the certified nonnegative
+            least-squares floor, or, when the floor could not be
+            certified, the smallest residual the penalty walk-down reached.
     """
     config = config or SolverConfig()
     a = lifted.matrix
@@ -691,6 +761,13 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
 
     norms = np.sum(np.abs(a) ** 2, axis=0)
     corr = (a.conj().T @ b).real
+    floor = _nonneg_floor(a, b, corr, norms, bound)
+    if floor is not None:
+        raise SolverInfeasibleError(
+            f"residual bound {bound:.6e} unreachable; minimum achievable "
+            f"residual {floor:.6e}",
+            min_residual=floor,
+        )
     lam_max = max(float(np.max(corr)), np.finfo(float).tiny)
     best, iters = _bisect_penalty(
         a, b, np.ones(a.shape[1]), np.zeros(a.shape[1]), _NonnegL1, norms, config,

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,18 @@ from raysep import (
     NoiseSpec,
     PseudoSpectrum,
     RaypathSet,
+    SolverInfeasibleError,
+    WaveguideScenario,
+    build_dictionary,
+    build_lifted_system,
+    choose_delta,
+    decompose,
     detect_peaks,
+    eigenray_angles,
     estimate_spectra,
     rmse,
     run_experiment,
+    subspace_cs,
     synthesize_broadband,
 )
 
@@ -310,3 +319,73 @@ def test_run_experiment_clamps_threads_to_usable_cpus(
     report = run_experiment(plan, threads=asked)
     assert created == workers
     assert report.to_json_dict() == expected.to_json_dict()
+
+
+def table1_fixture():
+    """Table-1 geometry, 5-path eigenray truth and the +/-10 degree grid."""
+    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
+    scenario = WaveguideScenario(
+        water_depth_m=100.0,
+        range_m=2000.0,
+        source_depth_m=50.0,
+        receiver_depths_m=37.5 + 2.5 * np.arange(11),
+        sound_speed_mps=1500.0,
+        num_paths=5,
+    )
+    return geom, eigenray_angles(scenario), AngleGrid.uniform(-10.0, 10.0, 0.2)
+
+
+def test_subspace_retry_solves_at_the_certified_floor():
+    # at +20 dB the coherent cross terms put the noise-floor allowance out of reach
+    geom, paths, grid = table1_fixture()
+    settings = EstimatorSettings(
+        geometry=geom, grid=grid, num_paths=5, algorithms=("subspace_cs",),
+        focus_frequency_hz=1500.0,
+    )
+    bins = synthesize_broadband(
+        paths, (1000.0, 2000.0), 32, 150, NoiseSpec(snr_db=20.0, seed=3), geom, "coherent"
+    )
+    dictionary = build_dictionary(grid, 1500.0, geom)
+    data = raysep.bench._TrialData(settings, bins, dictionary, 1500.0)
+    retried = raysep.bench._run_algorithm(data, "subspace_cs")
+    assert data.retried == {"subspace_cs"}
+
+    dec = decompose(data.smoothed_covariance(), 5)
+    lifted = build_lifted_system(dec, dictionary)
+    bound = choose_delta(dec, 5, factor=settings.delta_factor)
+    with pytest.raises(SolverInfeasibleError) as exc:
+        subspace_cs(lifted, replace(settings.solver, residual_bound=bound))
+    direct = subspace_cs(
+        lifted, replace(settings.solver, residual_bound=1.1 * exc.value.min_residual)
+    )
+    assert_array_equal(retried.values, direct.values)
+    assert retried.diagnostics() == direct.diagnostics()
+
+    # without the retry the refusal propagates; the CLI reports its message
+    strict = raysep.bench._TrialData(
+        replace(settings, subspace_retry=False), bins, dictionary, 1500.0
+    )
+    with pytest.raises(SolverInfeasibleError, match="residual"):
+        raysep.bench._run_algorithm(strict, "subspace_cs")
+    assert strict.retried == set()
+
+
+def test_solver_outcomes_count_retries_and_zero_spectra_without_flagging():
+    geom, paths, grid = table1_fixture()
+    plan = ExperimentPlan(
+        paths=paths, geometry=geom, grid=grid,
+        snr_list=(-5.0, 20.0), trials=2, algorithms=("subspace_cs", "music"),
+        seed=7,
+    )
+    serial = run_experiment(plan, threads=1)
+    parallel = run_experiment(plan, threads=2)
+    # -5 dB: the allowance covers the whole signal subspace; +20 dB: the
+    # allowance is below the nonnegative floor and the solve is retried
+    assert serial.to_json_dict()["solver_outcomes"] == {
+        "subspace_cs": {
+            "-5.0": {"retried": 0, "zero_spectrum": 2, "not_converged": 0},
+            "20.0": {"retried": 2, "zero_spectrum": 0, "not_converged": 0},
+        }
+    }
+    assert serial.flagged_trials == ()
+    assert parallel.to_json_dict() == serial.to_json_dict()

@@ -232,6 +232,76 @@ def test_subspace_cs_infeasible_bound_reports_min_residual():
     assert exc.value.min_residual > 0
 
 
+
+def small_lifted_instance(seed: int) -> LiftedSystem:
+    """4 sensors, 9-point grid, and a random covariance as the data.
+
+    The lifted columns only span Toeplitz matrices, so the rest of a random
+    covariance is out of reach of every nonnegative combination.
+    """
+    geom = ArrayGeometry(num_sensors=4, spacing_m=0.5, sound_speed_mps=1500.0)
+    grid = AngleGrid.uniform(-80.0, 80.0, 20.0)
+    matrix = lift_dictionary(build_dictionary(grid, 1500.0, geom))
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return LiftedSystem((h @ h.conj().T).reshape(-1), matrix, grid)
+
+
+def exhaustive_nnls_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """min ||b - a p|| over real p >= 0, by trying every support.
+
+    The optimum is the least-squares fit on its own support, where every
+    entry is positive; any other positive support fit is feasible too, so
+    the smallest of them is the optimum.
+    """
+    real_a = np.vstack([a.real, a.imag])
+    real_b = np.concatenate([b.real, b.imag])
+    best = float(np.linalg.norm(real_b))
+    for size in range(1, a.shape[1] + 1):
+        for combo in itertools.combinations(range(a.shape[1]), size):
+            coef, *_ = np.linalg.lstsq(real_a[:, combo], real_b, rcond=None)
+            if np.all(coef > 0):
+                best = min(best, float(np.linalg.norm(real_b - real_a[:, combo] @ coef)))
+    return best
+
+
+def test_subspace_cs_refuses_unreachable_bound_with_certified_floor(monkeypatch):
+    engine = raysep.solvers._cd_lasso
+    inner_calls = []
+
+    def counting_engine(*args, **kwargs):
+        inner_calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(raysep.solvers, "_cd_lasso", counting_engine)
+    for seed in range(5):
+        lifted = small_lifted_instance(seed)
+        floor = exhaustive_nnls_residual(lifted.matrix, lifted.vector)
+        with pytest.raises(SolverInfeasibleError, match="residual") as exc:
+            subspace_cs(lifted, SolverConfig(residual_bound=0.5 * floor))
+        assert exc.value.min_residual == pytest.approx(floor, rel=1e-9)
+    # refused without a single penalized solve
+    assert inner_calls == []
+    spec = subspace_cs(lifted, SolverConfig(residual_bound=1.5 * floor))
+    assert inner_calls and spec.residual <= 1.5 * floor * (1 + 1e-6)
+
+
+def test_subspace_cs_solves_tight_reachable_bound():
+    # Exact nonnegative 3-atom data on a fine grid. A floor that stops before
+    # the nonnegative least-squares optimum (say, once no correlation exceeds
+    # 1e-10 of the largest data correlation) reports ~1e-6 ||b|| on the third
+    # and fourth draws and would refuse this bound, which the search reaches.
+    geom = ArrayGeometry(num_sensors=11, spacing_m=0.5, sound_speed_mps=1500.0)
+    grid = AngleGrid.uniform(-90.0, 90.0, 0.2)
+    matrix = lift_dictionary(build_dictionary(grid, 1500.0, geom))
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        support = rng.choice(len(grid), size=3, replace=False)
+        vec = matrix[:, support] @ rng.uniform(0.5, 2.0, 3)
+        bound = 1e-7 * np.linalg.norm(vec)
+        spec = subspace_cs(LiftedSystem(vec, matrix, grid), SolverConfig(residual_bound=bound))
+        assert spec.residual <= bound * (1 + 1e-6)
+
 def test_objective_history_monotone():
     _, grid, d = medium_dictionary()
     y = 2.0 * d.matrix[:, 44] - 0.7 * d.matrix[:, 101]
