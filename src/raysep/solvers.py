@@ -17,13 +17,17 @@ and off-support entries are exactly zero), a dense active-set polish of the
 working set is adopted when it lowers the objective, and a full
 stationarity sweep certifies the solution. Two penalties plug into it:
 ``_ComplexL1`` (row-weighted l1 of complex coefficients) and ``_NonnegL1``
-(l1 of nonnegative real coefficients). The penalty level is then bisected
-until the data residual lands just under the requested bound, which makes
-the returned point a stationary pair for the residual-constrained program.
-The contract is the achieved feasibility and stationarity tolerance, not
-the particular iteration. ``subspace_cs`` first checks its bound against
-the nonnegative least-squares floor (``_nonneg_floor``), so an unreachable
-bound is refused without a penalty search.
+(l1 of nonnegative real coefficients). A search over the penalty level then
+puts the data residual just under the requested bound, which makes the
+returned point a stationary pair for the residual-constrained program: the
+complex solvers follow the residual curve by penalty continuation, with
+warm-started steps of at most 2x and a safeguarded secant on log residual
+against log level (``_continue_penalty``); ``subspace_cs`` walks its level
+down by decades and bisects (``_bisect_penalty``). The contract is the
+achieved feasibility and stationarity tolerance, not the particular
+iteration. ``subspace_cs`` first checks its bound against the nonnegative
+least-squares floor (``_nonneg_floor``), so an unreachable bound is refused
+without a penalty search.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ __all__ = [
 # Residual bounds below this fraction of the data norm are treated as the
 # exact-interpolation limit.
 _BOUND_FLOOR_REL = 1e-9
-# Bisection drives the residual into [(1 - _BISECT_BAND) * bound, bound].
+# The penalty search drives the residual into [(1 - _BISECT_BAND) * bound, bound].
 _BISECT_BAND = 0.1
+# The complex penalty search aims its secant steps at this share of the bound.
+_SEARCH_AIM = 1.0 - 0.8 * _BISECT_BAND
 _FEASIBILITY_SLACK = 1e-6
 _MAX_WORKING_SET_ROUNDS = 200
 _NEW_COORDS_PER_ROUND = 25
@@ -120,6 +126,11 @@ class SparseSpectrum:
     # Objective trajectory of the final inner run; non-increasing by
     # construction of the inner solver.
     objective_history: np.ndarray = field(repr=False, default=None)
+    # Number of inner (penalized) solves behind the spectrum, and the
+    # largest support any of them returned, in grid angles that are nonzero
+    # in some snapshot.
+    inner_solves: int = 0
+    peak_support: int = 0
 
     def diagnostics(self) -> dict:
         """JSON-ready summary of the solve."""
@@ -130,6 +141,8 @@ class SparseSpectrum:
             "residual_bound": float(self.residual_bound),
             "objective": float(self.objective),
             "converged": bool(self.converged),
+            "inner_solves": int(self.inner_solves),
+            "peak_support": int(self.peak_support),
         }
 
 
@@ -283,7 +296,11 @@ def _polish_nonneg(
     """Active-set solve of the support-restricted nonnegative lasso.
 
     Starts from the live entries of ``x_sub``, which the caller keeps
-    nonempty.
+    nonempty. It is a polish for lam > 0 only, adopted by ``_cd_lasso``
+    when it lowers the objective, and not a nonnegative least-squares
+    solver at lam = 0: it prunes the most negative entry without the
+    Lawson–Hanson step back along the segment, so it can stop above the
+    optimum. ``_nonneg_floor`` is the only floor.
     """
     size = x_sub.size
     alive = x_sub > 0
@@ -530,78 +547,185 @@ def _effective_bound(bound: float | None, data_norm: float) -> float:
     return max(float(bound), _BOUND_FLOOR_REL * data_norm)
 
 
-def _bisect_penalty(
-    a, b, weights, x0, penalty, norms, config: SolverConfig, lam_max: float, bound: float
-):
-    """Walk the penalty level down to feasibility, then bisect toward the bound.
+@dataclass
+class _SearchLog:
+    """Work of every inner solve behind one returned spectrum."""
 
-    Each inner solve runs ``_cd_lasso`` at per-row penalties
-    ``lam * weights``, warm-started from an earlier solve. Returns the
-    feasible result with the largest level whose residual is at most
-    ``bound``, aiming for a residual within (1 - _BISECT_BAND) of it, and
-    the summed sweep count of every inner run. The returned result keeps
-    the objective history of its own (final) inner run.
+    iterations: int = 0
+    inner_solves: int = 0
+    peak_support: int = 0
+
+
+def _solve_at(a, b, lam, weights, x_start, penalty, norms, config, log: _SearchLog):
+    """One ``_cd_lasso`` run at per-row penalties ``lam * weights``, logged."""
+    res = _cd_lasso(
+        a, b, lam * weights, x_start, config.inner_tol, config.inner_max_iters,
+        norms, penalty,
+    )
+    log.iterations += res.iterations
+    log.inner_solves += 1
+    log.peak_support = max(log.peak_support, int(_support(res.x).size))
+    return res
+
+
+def _unreachable(bound: float, res: _InnerResult) -> SolverInfeasibleError:
+    return SolverInfeasibleError(
+        f"residual bound {bound:.6e} unreachable; minimum achieved "
+        f"residual {res.residual:.6e}",
+        min_residual=res.residual,
+    )
+
+
+def _bisect_penalty(
+    a, b, x0, norms, config: SolverConfig, lam_max: float, bound: float, log: _SearchLog
+):
+    """Walk the nonnegative penalty down to feasibility, then bisect toward the bound.
+
+    Serves only ``subspace_cs``; the complex solvers use
+    ``_continue_penalty``. Each inner solve runs ``_cd_lasso`` with
+    ``_NonnegL1`` at level ``lam``, warm-started from an earlier solve.
+    Returns the feasible result with the largest level whose residual is at
+    most ``bound``, aiming for a residual within (1 - _BISECT_BAND) of it.
+    The returned result keeps the objective history of its own (final)
+    inner run.
 
     Raises:
         SolverInfeasibleError: If no penalty reaches the bound.
     """
-
-    def solve_at(lam, x_start):
-        return _cd_lasso(
-            a, b, lam * weights, x_start, config.inner_tol, config.inner_max_iters,
-            norms, penalty,
-        )
-
-    total_iters = 0
+    weights = np.ones(a.shape[1])
     lam_hi = lam_max
     lam = lam_max
     x_warm = x0
     feasible = None
     for _ in range(18):
         lam /= 10.0
-        res = solve_at(lam, x_warm)
-        total_iters += res.iterations
+        res = _solve_at(a, b, lam, weights, x_warm, _NonnegL1, norms, config, log)
         x_warm = res.x
         if res.residual <= bound:
             feasible = (lam, res)
             break
         lam_hi = lam
     if feasible is None:
-        raise SolverInfeasibleError(
-            f"residual bound {bound:.6e} unreachable; minimum achieved "
-            f"residual {res.residual:.6e}",
-            min_residual=res.residual,
-        )
+        raise _unreachable(bound, res)
 
     lam_lo, best = feasible
     for _ in range(40):
         if best.residual >= (1.0 - _BISECT_BAND) * bound or lam_hi / lam_lo < 1.05:
             break
         lam_mid = np.sqrt(lam_lo * lam_hi)
-        res = solve_at(lam_mid, best.x)
-        total_iters += res.iterations
+        res = _solve_at(a, b, lam_mid, weights, best.x, _NonnegL1, norms, config, log)
         if res.residual <= bound:
             lam_lo, best = lam_mid, res
         else:
             lam_hi = lam_mid
-    return best, total_iters
+    return best
 
 
-def _spectrum_from_result(
-    grid, values, method, result, total_iters, bound, tol
-) -> SparseSpectrum:
+def _log_secant(p, q, target: float) -> float:
+    """Level where the line through two (level, residual) points, in logs, hits target."""
+    (lam_p, r_p), (lam_q, r_q) = p, q
+    slope = np.log(r_q / r_p) / np.log(lam_q / lam_p)
+    if not np.isfinite(slope) or slope <= 0.0:
+        return np.nan
+    return float(lam_q * np.exp(np.log(target / r_q) / slope))
+
+
+def _continue_penalty(
+    a, b, weights, x0, norms, config: SolverConfig, lam_max: float, lam_start: float,
+    bound: float, log: _SearchLog,
+):
+    """Penalty continuation toward the residual bound (complex penalty).
+
+    The residual of the penalized solution grows with the level, from 0 to
+    ||b|| at ``lam_max`` (the zero solution), roughly as a power law, so the
+    search works on log ||r|| against log lam, as SPGL1 root-finds its
+    Pareto curve (van den Berg & Friedlander 2008). Its aim is
+    ``_SEARCH_AIM * bound``, near the low end of the band
+    [(1 - _BISECT_BAND) * bound, bound]. Every solve is warm-started, and
+    the search never moves the level by more than 2x:
+
+    * from ``lam_start`` (below ``lam_max``), an infeasible residual
+      steps the level down toward the aim of the secant through the last
+      two points, the first being the zero solution, until the residual is
+      within ``bound``;
+    * a feasible start below the band climbs once, to twice the level, from
+      the start's solution; if that is still feasible, it is returned even
+      below the band;
+    * inside the bracket, regula falsi on the same logs, kept a tenth of the
+      bracket's width off its ends and warm-started from the feasible end,
+      runs until the residual is in the band or the bracket is narrower
+      than 5 %.
+
+    So no solve runs below half the level that is returned, and the dense
+    supports of small levels are never visited on the way.
+
+    Returns:
+        The feasible result with the largest level, and that level.
+
+    Raises:
+        SolverInfeasibleError: If no level above ``lam_max * 1e-18`` reaches
+            the bound.
+    """
+    lower = (1.0 - _BISECT_BAND) * bound
+    aim = _SEARCH_AIM * bound
+
+    def solve(lam, x_start):
+        return _solve_at(a, b, lam, weights, x_start, _ComplexL1, norms, config, log)
+
+    above = (lam_max, float(np.linalg.norm(b)))
+    lam = lam_start
+    res = solve(lam, x0)
+    if res.residual <= bound:
+        if res.residual >= lower:
+            return res, lam
+        lo = (lam, res)
+        if 2.0 * lam < lam_max:
+            lam *= 2.0
+            res = solve(lam, res.x)
+            if res.residual <= bound:
+                return res, lam
+            above = (lam, res.residual)
+    else:
+        while res.residual > bound:
+            previous, above = above, (lam, res.residual)
+            guess = _log_secant(previous, above, aim)
+            lam = min(max(guess, 0.5 * lam), lam / 1.05) if guess < lam else 0.5 * lam
+            if lam < 1e-18 * lam_max:
+                raise _unreachable(bound, res)
+            res = solve(lam, res.x)
+        lo = (lam, res)
+
+    for _ in range(40):
+        (lam_lo, best), lam_hi = lo, above[0]
+        if best.residual >= lower or lam_hi / lam_lo < 1.05:
+            break
+        span = np.log(lam_hi / lam_lo)
+        guess = _log_secant((lam_lo, max(best.residual, _TINY)), above, aim)
+        share = np.log(guess / lam_lo) / span if np.isfinite(guess) else 0.5
+        lam = float(lam_lo * np.exp(span * min(max(share, 0.1), 0.9)))
+        res = solve(lam, best.x)
+        if res.residual <= bound:
+            lo = (lam, res)
+        else:
+            above = (lam, res.residual)
+    return lo[1], lo[0]
+
+
+def _spectrum_from_result(grid, values, method, result, log, bound, tol) -> SparseSpectrum:
     feasible = result.residual <= bound * (1.0 + _FEASIBILITY_SLACK)
     stationary = result.kkt <= tol
     return SparseSpectrum(
         grid=grid,
         values=values,
         method=method,
-        iterations=total_iters,
+        iterations=log.iterations,
         residual=result.residual,
         residual_bound=bound,
         objective=float(np.sum(np.abs(result.x))),
         converged=bool(feasible and stationary),
         objective_history=np.asarray(result.objective_history),
+        inner_solves=log.inner_solves,
+        peak_support=log.peak_support,
     )
 
 
@@ -700,13 +824,17 @@ def reweighted_cs(
     xi = config.reweight_xi
     x_warm = np.zeros((a.shape[1], num_l), dtype=complex)
     prev_agg = None
-    total_iters = 0
+    log = _SearchLog()
+    share = 1.0  # where the last pass ended, relative to its lam_max
     for _ in range(config.max_reweight_iters):
         lam_max = float(np.max(corr0 / weights[:, None]))
-        best, iters = _bisect_penalty(
-            a, y, weights, x_warm, _ComplexL1, norms, config, lam_max, bound
+        # start one halving below the carried level, so that the pass
+        # usually reaches the band from the denser, feasible side
+        best, lam = _continue_penalty(
+            a, y, weights, x_warm, norms, config, lam_max, 0.5 * share * lam_max,
+            bound, log,
         )
-        total_iters += iters
+        share = lam / lam_max
         x_warm = best.x
         agg = np.sum(np.abs(best.x), axis=1)
         if xi is None:
@@ -721,7 +849,7 @@ def reweighted_cs(
 
     values = best.x[:, 0] if num_l == 1 else np.sum(np.abs(best.x), axis=1)
     return _spectrum_from_result(
-        grid, values, "reweighted_cs", best, total_iters, bound, config.inner_tol
+        grid, values, "reweighted_cs", best, log, bound, config.inner_tol
     )
 
 
@@ -769,12 +897,10 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
             min_residual=floor,
         )
     lam_max = max(float(np.max(corr)), np.finfo(float).tiny)
-    best, iters = _bisect_penalty(
-        a, b, np.ones(a.shape[1]), np.zeros(a.shape[1]), _NonnegL1, norms, config,
-        lam_max, bound,
-    )
+    log = _SearchLog()
+    best = _bisect_penalty(a, b, np.zeros(a.shape[1]), norms, config, lam_max, bound, log)
     return _spectrum_from_result(
-        grid, best.x, "subspace_cs", best, iters, bound, config.inner_tol
+        grid, best.x, "subspace_cs", best, log, bound, config.inner_tol
     )
 
 

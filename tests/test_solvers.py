@@ -359,8 +359,9 @@ def test_diagnostics_payload():
     spec = bpdn(d, d.matrix[:, 10], SolverConfig(residual_bound=0.1))
     diag = spec.diagnostics()
     assert set(diag) == {"method", "iterations", "residual", "residual_bound",
-                         "objective", "converged"}
+                         "objective", "converged", "inner_solves", "peak_support"}
     assert diag["method"] == "bpdn"
+    assert diag["inner_solves"] >= 1 and diag["peak_support"] >= 1
     assert diag["residual"] <= 0.1 * (1 + 1e-6)
 
 
@@ -504,20 +505,20 @@ def reference_polish_column(a_sub, b_col, lam_sub, x_col):
     return out
 
 
-def test_polish_reproduces_one_column_loop_inside_reweighted_solve(monkeypatch):
-    # A coherent five-path Table-1 style scene at 0 dB: about half of the
-    # polished columns start with more live entries than the 11 sensors, so
-    # their Gram blocks are rank deficient and a last-bit difference in any
-    # product would move the result. The lockstep polish does the same
-    # arithmetic per column as the loop, so every column matches exactly.
+def test_polish_reproduces_one_column_loop_inside_lasso_solve(monkeypatch):
+    # A coherent five-path Table-1 style scene at 0 dB, solved once from zero
+    # at a tenth of lam_max, where the supports are dense: most polished
+    # columns start with more live entries than the 11 sensors, so their Gram
+    # blocks are rank deficient and a last-bit difference in any product
+    # would move the result. The lockstep polish does the same arithmetic
+    # per column as the loop, so every column matches exactly.
     geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
     d = build_dictionary(AngleGrid.uniform(-10.0, 10.0, 0.2), 1500.0, geom)
     paths = RaypathSet([-6.0, -2.5, 0.4, 3.1, 7.0], [1.0, 0.8, 0.9, 0.7, 0.6],
                        [0.0, 0.001, 0.002, 0.003, 0.004])
     snap = synthesize_snapshots(paths, 1500.0, 20, NoiseSpec(0.0, 3), geom, "coherent")
-    eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
-    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
-                       max_reweight_iters=2)
+    a = d.matrix
+    lam = 0.1 * float(np.max(np.abs(a.conj().T @ snap.data)))
     seen = {"columns": 0, "rank_deficient": 0}
 
     def checked(a_sub, b, lam, x):
@@ -530,7 +531,11 @@ def test_polish_reproduces_one_column_loop_inside_reweighted_solve(monkeypatch):
         return got
 
     monkeypatch.setattr(raysep.solvers, "_polish_complex", checked)
-    reweighted_cs(d, snap, cfg)
+    raysep.solvers._cd_lasso(
+        a, snap.data, np.full(a.shape[1], lam),
+        np.zeros((a.shape[1], snap.data.shape[1]), dtype=complex), 1e-4, 600,
+        np.sum(np.abs(a) ** 2, axis=0), raysep.solvers._ComplexL1,
+    )
     assert seen["rank_deficient"] >= 0.25 * seen["columns"] > 0
 
 
@@ -554,3 +559,45 @@ def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
     assert bp.converged == rw.converged
     assert bp.objective == rw.objective
     assert np.count_nonzero(bp.values) >= 2
+
+
+def test_reweighted_passes_approach_the_bound_without_dense_detours(monkeypatch):
+    # A coherent five-path Table-1 style scene at 0 dB over 20 snapshots,
+    # with the bench's solver settings and noise-norm bound. Every inner
+    # solve is recorded; its per-row penalties are level * weights, so the
+    # weights change, and a new reweighting pass begins, exactly when the
+    # penalties stop being a multiple of the previous ones.
+    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
+    d = build_dictionary(AngleGrid.uniform(-10.0, 10.0, 0.2), 1500.0, geom)
+    paths = RaypathSet([-6.0, -2.5, 0.4, 3.1, 7.0], [1.0, 0.8, 0.9, 0.7, 0.6],
+                       [0.0, 0.001, 0.002, 0.003, 0.004])
+    snap = synthesize_snapshots(paths, 1500.0, 20, NoiseSpec(0.0, 3), geom, "coherent")
+    eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
+    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
+                       max_reweight_iters=6)
+    engine = raysep.solvers._cd_lasso
+    solves = []
+
+    def recording(a, b, lam_rows, *rest):
+        res = engine(a, b, lam_rows, *rest)
+        support = np.count_nonzero(np.any(res.x, axis=1))
+        solves.append((lam_rows.copy(), res.residual, support))
+        return res
+
+    monkeypatch.setattr(raysep.solvers, "_cd_lasso", recording)
+    spec = reweighted_cs(d, snap, cfg)
+
+    passes = []
+    for lam_rows, residual, _ in solves:
+        scale = lam_rows / passes[-1][0] if passes else None
+        if passes and np.allclose(scale, scale[0], rtol=1e-9, atol=0):
+            passes[-1][1].append((float(scale[0]), residual))
+        else:
+            passes.append((lam_rows, [(1.0, residual)]))
+    assert len(passes) >= 2
+    assert spec.inner_solves == len(solves)
+    assert spec.peak_support == max(support for *_, support in solves)
+    for _, levels in passes:
+        final = max(level for level, residual in levels if residual <= eps)
+        assert min(level for level, _ in levels) >= 0.5 * final * (1 - 1e-12)
+    assert spec.residual <= eps * (1 + 1e-6)
