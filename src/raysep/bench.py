@@ -176,8 +176,8 @@ class EstimatorSettings:
         subspace_retry: The noise-floor residual allowance knows nothing
             about path cross terms, which dominate at high SNR and can push
             the requested bound below what any nonnegative fit can reach.
-            ``subspace_cs`` then refuses the bound at once, carrying the
-            certified nonnegative least-squares floor. When True (default),
+            ``subspace_cs`` then refuses the bound at the end of its path,
+            carrying the nonnegative least-squares floor. When True (default),
             the solve is retried once at 1.1x that floor; when False the
             infeasibility propagates.
         solver: Inner-solver tolerances for all sparse programs.

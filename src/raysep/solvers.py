@@ -1,4 +1,4 @@
-"""Sparse-recovery programs for angle spectra, on one l1 engine.
+"""Sparse-recovery programs for angle spectra.
 
 * ``subspace_cs``: nonnegative l1 recovery of path powers from the
   row-stacked signal-subspace vector against the lifted dictionary.
@@ -9,25 +9,23 @@
   residual bound on one snapshot, run as the first, unit-weight pass of
   ``reweighted_cs``.
 
-One engine, ``_cd_lasso``, solves the penalized form of all three by
-working-set cyclic coordinate descent: coordinates enter the working set
-only when they violate the stationarity conditions, every coordinate update
-is an exact one-dimensional minimization (so the objective never increases
-and off-support entries are exactly zero), a dense active-set polish of the
-working set is adopted when it lowers the objective, and a full
-stationarity sweep certifies the solution. Two penalties plug into it:
-``_ComplexL1`` (row-weighted l1 of complex coefficients) and ``_NonnegL1``
-(l1 of nonnegative real coefficients). A search over the penalty level then
-puts the data residual just under the requested bound, which makes the
-returned point a stationary pair for the residual-constrained program: the
-complex solvers follow the residual curve by penalty continuation, with
+``subspace_cs`` follows the nonnegative lasso path exactly
+(``_nonneg_path``): the solution is piecewise linear in the penalty level
+(Osborne, Presnell & Turlach 2000), so the path is walked from breakpoint
+to breakpoint in the Gram domain until the data residual reaches the
+requested bound. Its end at level 0 is the nonnegative least-squares
+optimum (Lawson & Hanson 1974), so an unreachable bound is refused with a
+certified floor by the same loop.
+
+The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
+descent with exact one-dimensional updates, a dense active-set polish of
+the working set (adopted when it lowers the objective) and a full
+stationarity sweep. Penalty continuation (``_continue_penalty``), with
 warm-started steps of at most 2x and a safeguarded secant on log residual
-against log level (``_continue_penalty``); ``subspace_cs`` walks its level
-down by decades and bisects (``_bisect_penalty``). The contract is the
-achieved feasibility and stationarity tolerance, not the particular
-iteration. ``subspace_cs`` first checks its bound against the nonnegative
-least-squares floor (``_nonneg_floor``), so an unreachable bound is refused
-without a penalty search.
+against log level, puts the residual just under the requested bound, so
+the returned point is a stationary pair for the residual-constrained
+program. The contract is the achieved feasibility and stationarity
+tolerance, not the particular iteration.
 """
 
 from __future__ import annotations
@@ -54,16 +52,23 @@ __all__ = [
 # Residual bounds below this fraction of the data norm are treated as the
 # exact-interpolation limit.
 _BOUND_FLOOR_REL = 1e-9
-# The penalty search drives the residual into [(1 - _BISECT_BAND) * bound, bound].
-_BISECT_BAND = 0.1
+# Target band of a returned residual: [(1 - _BAND) * bound, bound].
+_BAND = 0.1
 # The complex penalty search aims its secant steps at this share of the bound.
-_SEARCH_AIM = 1.0 - 0.8 * _BISECT_BAND
+_SEARCH_AIM = 1.0 - 0.8 * _BAND
+# The nonnegative path stops where the residual reaches this share of the bound.
+_PATH_AIM = 1.0 - 0.5 * _BAND
 _FEASIBILITY_SLACK = 1e-6
 _MAX_WORKING_SET_ROUNDS = 200
 _NEW_COORDS_PER_ROUND = 25
 _SWEEPS_PER_ROUND = 25
-# Lawson–Hanson stationarity test, relative to ||a_j|| * ||residual||.
-_NNLS_KKT_REL = 1e-9
+# A zero entry whose correlation is within this share of max Re(aᴴb) below
+# the level ties at a breakpoint of the nonnegative path.
+_TIE_REL = 1e-15
+# The path admits a tied entry whose correlation would outgrow the level
+# faster than this, relative to the level's own rate.
+_ADMIT_TOL = 1e-10
+_PATH_SEGMENTS_PER_ATOM = 10
 _TINY = np.finfo(float).tiny
 
 
@@ -91,8 +96,7 @@ class SolverConfig:
             update; ``None`` picks 1e-3 of the first pass's peak magnitude.
         max_reweight_iters: Cap on reweighting passes.
         inner_tol: Stationarity tolerance of the inner solver, relative to
-            the active penalty level; also the between-pass change
-            tolerance for reweighting.
+            the active penalty level.
         inner_max_iters: Coordinate-sweep budget per inner solve.
     """
 
@@ -123,12 +127,13 @@ class SparseSpectrum:
     residual_bound: float
     objective: float
     converged: bool
-    # Objective trajectory of the final inner run; non-increasing by
-    # construction of the inner solver.
+    # Objective trajectory of the final inner run (for subspace_cs, of the
+    # path's breakpoints, each at its own level); non-increasing.
     objective_history: np.ndarray = field(repr=False, default=None)
     # Number of inner (penalized) solves behind the spectrum, and the
     # largest support any of them returned, in grid angles that are nonzero
-    # in some snapshot.
+    # in some snapshot; for subspace_cs, the segments of the path and the
+    # largest set of entries that moved on one.
     inner_solves: int = 0
     peak_support: int = 0
 
@@ -290,126 +295,46 @@ def _polish_complex(
     return out.T
 
 
-def _polish_nonneg(
-    a_sub: np.ndarray, b: np.ndarray, lam_sub: np.ndarray, x_sub: np.ndarray
-) -> np.ndarray:
-    """Active-set solve of the support-restricted nonnegative lasso.
+def _cd_sweep(a, r, x, order, lam_rows, col_norms_sq) -> float:
+    """One cyclic pass of exact coordinate updates over ``order``.
 
-    Starts from the live entries of ``x_sub``, which the caller keeps
-    nonempty. It is a polish for lam > 0 only, adopted by ``_cd_lasso``
-    when it lowers the objective, and not a nonnegative least-squares
-    solver at lam = 0: it prunes the most negative entry without the
-    Lawson–Hanson step back along the segment, so it can stop above the
-    optimum. ``_nonneg_floor`` is the only floor.
+    Updates ``x`` and the residual ``r`` in place; returns the largest step
+    relative to its coordinate's threshold.
     """
-    size = x_sub.size
-    alive = x_sub > 0
-    out = np.zeros(size)
-
-    def solve(idx):
-        asub = a_sub[:, idx]
-        h = (asub.conj().T @ asub).real
-        c = (asub.conj().T @ b).real - lam_sub[idx]
-        return asub, _solve_psd(h, c)
-
-    for _ in range(2 * size + 10):
-        idx = np.flatnonzero(alive)
-        asub, z = solve(idx)
-        while np.any(z <= 0):
-            alive[idx[int(np.argmin(z))]] = False
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                return np.zeros(size)
-            asub, z = solve(idx)
-        out[:] = 0
-        out[idx] = z
-        dropped = ~alive
-        if np.any(dropped):
-            corr = (a_sub.conj().T @ (b - asub @ z)).real
-            viol = corr[dropped] - lam_sub[dropped]
-            worst_local = int(np.argmax(viol))
-            if viol[worst_local] > 1e-7 * max(float(np.max(lam_sub)), _TINY):
-                alive[np.flatnonzero(dropped)[worst_local]] = True
-                continue
-        break
-    return out
+    max_step = 0.0
+    for q in order:
+        aq = a[:, q]
+        u = aq.conj() @ r + col_norms_sq[q] * x[q]
+        xq_new = _soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
+        delta = xq_new - x[q]
+        step = float(np.max(np.abs(delta)))
+        if step > 0.0:
+            r -= np.outer(aq, delta)
+            x[q] = xq_new
+            max_step = max(
+                max_step, step * col_norms_sq[q] / max(lam_rows[q], _TINY)
+            )
+    return max_step
 
 
-class _ComplexL1:
-    """sum_q lam[q] * sum_l |x[q, l]| over complex x of shape (K, L)."""
-
-    @staticmethod
-    def sweep(a, r, x, order, lam_rows, col_norms_sq) -> float:
-        max_step = 0.0
-        for q in order:
-            aq = a[:, q]
-            u = aq.conj() @ r + col_norms_sq[q] * x[q]
-            xq_new = _soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
-            delta = xq_new - x[q]
-            step = float(np.max(np.abs(delta)))
-            if step > 0.0:
-                r -= np.outer(aq, delta)
-                x[q] = xq_new
-                max_step = max(
-                    max_step, step * col_norms_sq[q] / max(lam_rows[q], _TINY)
-                )
-        return max_step
-
-    @staticmethod
-    def violation(a, r, x, lam_rows) -> np.ndarray:
-        corr = a.conj().T @ r
-        viol = np.maximum(np.abs(corr) - lam_rows[:, None], 0.0)
-        nz = np.abs(x) > 0
-        line = corr - lam_rows[:, None] * (x / np.maximum(np.abs(x), _TINY))
-        viol[nz] = np.abs(line[nz])
-        return np.max(viol / np.maximum(lam_rows[:, None], _TINY), axis=1)
-
-    @staticmethod
-    def value(lam_rows, x) -> float:
-        return float(np.sum(lam_rows * np.sum(np.abs(x), axis=1)))
-
-    @staticmethod
-    def polish(a_sub, b, lam_sub, x_sub) -> np.ndarray:
-        # looked up per call, so a test can substitute a checked polish
-        return _polish_complex(a_sub, b, lam_sub, x_sub)
+def _violation(a, r, x, lam_rows) -> np.ndarray:
+    """Per-row stationarity violation, relative to the row's threshold."""
+    corr = a.conj().T @ r
+    viol = np.maximum(np.abs(corr) - lam_rows[:, None], 0.0)
+    nz = np.abs(x) > 0
+    line = corr - lam_rows[:, None] * (x / np.maximum(np.abs(x), _TINY))
+    viol[nz] = np.abs(line[nz])
+    return np.max(viol / np.maximum(lam_rows[:, None], _TINY), axis=1)
 
 
-class _NonnegL1:
-    """lam * sum(x) over real x >= 0 of shape (K,); ``lam_rows`` is all lam."""
-
-    @staticmethod
-    def sweep(a, r, x, order, lam_rows, col_norms_sq) -> float:
-        max_step = 0.0
-        for q in order:
-            aq = a[:, q]
-            u = (aq.conj() @ r).real + col_norms_sq[q] * x[q]
-            xq_new = max(u - lam_rows[q], 0.0) / col_norms_sq[q]
-            delta = xq_new - x[q]
-            if delta != 0.0:
-                r -= aq * delta
-                x[q] = xq_new
-                max_step = max(
-                    max_step, abs(delta) * col_norms_sq[q] / max(lam_rows[q], _TINY)
-                )
-        return max_step
-
-    @staticmethod
-    def violation(a, r, x, lam_rows) -> np.ndarray:
-        grad = lam_rows - (a.conj().T @ r).real  # gradient of the penalized objective
-        rel = np.where(x > 0, np.abs(grad), np.maximum(-grad, 0.0))
-        return rel / np.maximum(lam_rows, _TINY)
-
-    @staticmethod
-    def value(lam_rows, x) -> float:
-        # level times sum, not a sum of products: the two round differently
-        return float(lam_rows[0]) * float(np.sum(x))
-
-    polish = staticmethod(_polish_nonneg)
+def _penalty(lam_rows, x) -> float:
+    """sum_q lam[q] * sum_l |x[q, l]|."""
+    return float(np.sum(lam_rows * np.sum(np.abs(x), axis=1)))
 
 
 def _support(x: np.ndarray) -> np.ndarray:
     """Rows of ``x`` holding a nonzero entry."""
-    return np.flatnonzero(x if x.ndim == 1 else np.any(x != 0, axis=1))
+    return np.flatnonzero(np.any(x != 0, axis=1))
 
 
 def _cd_lasso(
@@ -420,28 +345,19 @@ def _cd_lasso(
     tol: float,
     max_sweeps: int,
     col_norms_sq: np.ndarray,
-    penalty,
 ) -> _InnerResult:
-    """Working-set coordinate descent for an l1-penalized least-squares fit.
+    """Working-set coordinate descent for a row-weighted complex lasso.
 
-    Minimizes 0.5 * ||a x - b||^2 + penalty.value(lam_rows, x). The penalty,
-    ``_ComplexL1`` or ``_NonnegL1``, supplies the parts that depend on it:
-
-    * ``sweep(a, r, x, order, lam_rows, col_norms_sq)``: one cyclic pass of
-      exact coordinate updates over ``order``, updating ``x`` and the
-      residual ``r`` in place; returns the largest step relative to its
-      coordinate's threshold;
-    * ``violation(a, r, x, lam_rows)``: per-row stationarity violation,
-      relative to the row's threshold;
-    * ``value(lam_rows, x)``: the penalty term;
-    * ``polish(a_sub, b, lam_sub, x_sub)``: dense active-set solve of the
-      problem restricted to the nonzero rows ``x_sub``.
+    Minimizes 0.5 * ||a x - b||^2 + sum_q lam_rows[q] * sum_l |x[q, l]|
+    over complex x of shape (K, L), with ``_cd_sweep`` as the inner pass,
+    ``_polish_complex`` as the dense polish of the nonzero rows and
+    ``_violation`` as the stationarity test.
     """
     x = x0.copy()
     r = b - a @ x
 
     def objective(res, lam, coef):
-        return 0.5 * float(np.linalg.norm(res) ** 2) + penalty.value(lam, coef)
+        return 0.5 * float(np.linalg.norm(res) ** 2) + _penalty(lam, coef)
 
     history = [objective(r, lam_rows, x)]
     active = set(_support(x).tolist())
@@ -451,7 +367,7 @@ def _cd_lasso(
         order = sorted(active)
         for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
             sweeps += 1
-            max_step = penalty.sweep(a, r, x, order, lam_rows, col_norms_sq)
+            max_step = _cd_sweep(a, r, x, order, lam_rows, col_norms_sq)
             history.append(objective(r, lam_rows, x))
             if max_step <= 0.1 * tol or sweeps >= max_sweeps:
                 break
@@ -460,7 +376,7 @@ def _cd_lasso(
         if idx.size:
             sweeps += 1
             a_sub = a[:, idx]
-            x_cand = penalty.polish(a_sub, b, lam_rows[idx], x[idx])
+            x_cand = _polish_complex(a_sub, b, lam_rows[idx], x[idx])
             r_cand = b - a_sub @ x_cand
             f_cand = objective(r_cand, lam_rows[idx], x_cand)
             if f_cand <= history[-1]:
@@ -470,7 +386,7 @@ def _cd_lasso(
                 history.append(f_cand)
         active = set(_support(x).tolist())
         # Full stationarity pass; admit violating coordinates.
-        rel = penalty.violation(a, r, x, lam_rows)
+        rel = _violation(a, r, x, lam_rows)
         kkt = float(np.max(rel))
         if kkt <= tol or sweeps >= max_sweeps:
             break
@@ -481,64 +397,6 @@ def _cd_lasso(
         if len(active) == before:
             break
     return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history)
-
-
-def _nonneg_floor(
-    a: np.ndarray, b: np.ndarray, corr: np.ndarray, col_norms_sq: np.ndarray, bound: float
-) -> float | None:
-    """Certified min ||b - a p|| over p >= 0, when it exceeds ``bound``.
-
-    Lawson–Hanson active-set NNLS on the real normal equations
-    Re(aᴴa) p = Re(aᴴb) = ``corr``: each outer step moves the coordinate
-    whose correlation with the residual is largest into the passive set,
-    solves the passive set exactly, and, while a passive entry of that
-    solution is nonpositive, steps back along the segment to the last
-    nonnegative point and drops the entry it zeroes. It stops when no
-    coordinate correlates with the residual r by more than
-    ``_NNLS_KKT_REL * ||a_j|| * ||r||``; when the passive entries also meet
-    that test in absolute value, the iterate is stationary and ||r|| is the
-    certified floor.
-
-    Every p >= 0 only bounds the floor from above, so nothing short of that
-    certificate is reported: returns None as soon as an iterate's residual
-    is within ``bound`` (the bound is reachable) or when the step cap is
-    hit first.
-    """
-    x = np.zeros(a.shape[1])
-    passive = np.zeros(a.shape[1], dtype=bool)
-    col_norms = np.sqrt(col_norms_sq)
-    r = b
-    for _ in range(3 * a.shape[1]):
-        residual = float(np.linalg.norm(r))
-        if residual <= bound:
-            return None
-        grad = (a.conj().T @ r).real
-        slack = _NNLS_KKT_REL * col_norms * residual
-        excess = np.where(passive, -np.inf, grad - slack)
-        j = int(np.argmax(excess))
-        if excess[j] <= 0.0:
-            # certified only if the passive entries are stationary too
-            stationary = np.all(np.abs(grad[passive]) <= slack[passive])
-            return residual if stationary else None
-        passive[j] = True
-        while passive.any():
-            idx = np.flatnonzero(passive)
-            sub = a[:, idx]
-            z = _solve_psd((sub.conj().T @ sub).real, corr[idx])
-            if np.all(z > 0.0):
-                x[idx] = z
-                break
-            # step back to where the first nonpositive entry reaches zero
-            neg = np.flatnonzero(z <= 0.0)
-            x_neg = x[idx[neg]]
-            ratios = np.where(x_neg > 0.0, x_neg / np.maximum(x_neg - z[neg], _TINY), 0.0)
-            m = int(np.argmin(ratios))
-            x[idx] += ratios[m] * (z - x[idx])
-            x[idx[neg[m]]] = 0.0
-            passive &= x > 0.0
-        idx = np.flatnonzero(passive)
-        r = b - a[:, idx] @ x[idx]
-    return None
 
 
 def _effective_bound(bound: float | None, data_norm: float) -> float:
@@ -556,11 +414,10 @@ class _SearchLog:
     peak_support: int = 0
 
 
-def _solve_at(a, b, lam, weights, x_start, penalty, norms, config, log: _SearchLog):
+def _solve_at(a, b, lam, weights, x_start, norms, config, log: _SearchLog):
     """One ``_cd_lasso`` run at per-row penalties ``lam * weights``, logged."""
     res = _cd_lasso(
-        a, b, lam * weights, x_start, config.inner_tol, config.inner_max_iters,
-        norms, penalty,
+        a, b, lam * weights, x_start, config.inner_tol, config.inner_max_iters, norms
     )
     log.iterations += res.iterations
     log.inner_solves += 1
@@ -568,57 +425,12 @@ def _solve_at(a, b, lam, weights, x_start, penalty, norms, config, log: _SearchL
     return res
 
 
-def _unreachable(bound: float, res: _InnerResult) -> SolverInfeasibleError:
+def _unreachable(bound: float, residual: float) -> SolverInfeasibleError:
     return SolverInfeasibleError(
         f"residual bound {bound:.6e} unreachable; minimum achieved "
-        f"residual {res.residual:.6e}",
-        min_residual=res.residual,
+        f"residual {residual:.6e}",
+        min_residual=residual,
     )
-
-
-def _bisect_penalty(
-    a, b, x0, norms, config: SolverConfig, lam_max: float, bound: float, log: _SearchLog
-):
-    """Walk the nonnegative penalty down to feasibility, then bisect toward the bound.
-
-    Serves only ``subspace_cs``; the complex solvers use
-    ``_continue_penalty``. Each inner solve runs ``_cd_lasso`` with
-    ``_NonnegL1`` at level ``lam``, warm-started from an earlier solve.
-    Returns the feasible result with the largest level whose residual is at
-    most ``bound``, aiming for a residual within (1 - _BISECT_BAND) of it.
-    The returned result keeps the objective history of its own (final)
-    inner run.
-
-    Raises:
-        SolverInfeasibleError: If no penalty reaches the bound.
-    """
-    weights = np.ones(a.shape[1])
-    lam_hi = lam_max
-    lam = lam_max
-    x_warm = x0
-    feasible = None
-    for _ in range(18):
-        lam /= 10.0
-        res = _solve_at(a, b, lam, weights, x_warm, _NonnegL1, norms, config, log)
-        x_warm = res.x
-        if res.residual <= bound:
-            feasible = (lam, res)
-            break
-        lam_hi = lam
-    if feasible is None:
-        raise _unreachable(bound, res)
-
-    lam_lo, best = feasible
-    for _ in range(40):
-        if best.residual >= (1.0 - _BISECT_BAND) * bound or lam_hi / lam_lo < 1.05:
-            break
-        lam_mid = np.sqrt(lam_lo * lam_hi)
-        res = _solve_at(a, b, lam_mid, weights, best.x, _NonnegL1, norms, config, log)
-        if res.residual <= bound:
-            lam_lo, best = lam_mid, res
-        else:
-            lam_hi = lam_mid
-    return best
 
 
 def _log_secant(p, q, target: float) -> float:
@@ -634,14 +446,14 @@ def _continue_penalty(
     a, b, weights, x0, norms, config: SolverConfig, lam_max: float, lam_start: float,
     bound: float, log: _SearchLog,
 ):
-    """Penalty continuation toward the residual bound (complex penalty).
+    """Penalty continuation toward the residual bound.
 
     The residual of the penalized solution grows with the level, from 0 to
     ||b|| at ``lam_max`` (the zero solution), roughly as a power law, so the
     search works on log ||r|| against log lam, as SPGL1 root-finds its
     Pareto curve (van den Berg & Friedlander 2008). Its aim is
     ``_SEARCH_AIM * bound``, near the low end of the band
-    [(1 - _BISECT_BAND) * bound, bound]. Every solve is warm-started, and
+    [(1 - _BAND) * bound, bound]. Every solve is warm-started, and
     the search never moves the level by more than 2x:
 
     * from ``lam_start`` (below ``lam_max``), an infeasible residual
@@ -666,11 +478,11 @@ def _continue_penalty(
         SolverInfeasibleError: If no level above ``lam_max * 1e-18`` reaches
             the bound.
     """
-    lower = (1.0 - _BISECT_BAND) * bound
+    lower = (1.0 - _BAND) * bound
     aim = _SEARCH_AIM * bound
 
     def solve(lam, x_start):
-        return _solve_at(a, b, lam, weights, x_start, _ComplexL1, norms, config, log)
+        return _solve_at(a, b, lam, weights, x_start, norms, config, log)
 
     above = (lam_max, float(np.linalg.norm(b)))
     lam = lam_start
@@ -691,7 +503,7 @@ def _continue_penalty(
             guess = _log_secant(previous, above, aim)
             lam = min(max(guess, 0.5 * lam), lam / 1.05) if guess < lam else 0.5 * lam
             if lam < 1e-18 * lam_max:
-                raise _unreachable(bound, res)
+                raise _unreachable(bound, res.residual)
             res = solve(lam, res.x)
         lo = (lam, res)
 
@@ -709,6 +521,126 @@ def _continue_penalty(
         else:
             above = (lam, res.residual)
     return lo[1], lo[0]
+
+
+def _path_direction(gram, free, tied, log: _SearchLog):
+    """Direction of the nonnegative lasso path just below a breakpoint.
+
+    Below the breakpoint the solution moves as x + t d while the level falls
+    by t. d minimizes 0.5 dᵀ G d - sum(d), free in sign on the positive
+    entries ``free`` of x, >= 0 on the zero entries ``tied`` whose
+    correlation is at the level, and 0 elsewhere. Lawson–Hanson steps solve
+    it from the positive entries: admit the tied entry whose correlation
+    would outgrow the level fastest, solve the passive set, and step back
+    along the segment while a tied entry would go <= 0. An entry dropped as
+    soon as it is admitted is not admitted again, so rounding cannot cycle.
+
+    Returns:
+        The direction d and its passive set.
+    """
+    passive, admissible, d = free.copy(), tied.copy(), np.zeros(free.size)
+    j = -1
+    for _ in range(3 * free.size):
+        idx = np.flatnonzero(passive)
+        if idx.size:
+            z = _solve_psd(gram[np.ix_(idx, idx)], np.ones(idx.size))
+            log.iterations += 1
+            neg = tied[idx] & (z <= 0.0)
+            if neg.any():
+                # step back to where the first tied entry reaches zero
+                cur = d[idx[neg]]
+                ratios = cur / np.maximum(cur - z[neg], _TINY)
+                m = int(np.argmin(ratios))
+                d[idx] += ratios[m] * (z - d[idx])
+                d[idx[neg][m]] = 0.0
+                out = idx[tied[idx] & (d[idx] <= 0.0)]
+                d[out] = 0.0
+                passive[out] = False
+                if j >= 0 and not passive[j]:
+                    admissible[j] = False
+                continue
+            d[idx] = z
+        growth = np.where(admissible & ~passive, 1.0 - gram[:, idx] @ d[idx], -np.inf)
+        j = int(np.argmax(growth))
+        if growth[j] <= _ADMIT_TOL:
+            break
+        passive[j] = True
+    return d, passive
+
+
+def _nonneg_path(a, b, bound: float, log: _SearchLog) -> _InnerResult:
+    """Nonnegative lasso homotopy down to ``_PATH_AIM * bound``.
+
+    The solution of min 0.5 ||b - a p||^2 + lam * sum(p) over real p >= 0
+    is piecewise linear in lam (Osborne, Presnell & Turlach 2000). The path
+    runs in the Gram domain, G = Re(aᴴa) and c = Re(aᴴb), from p = 0 at
+    lam = max(c) down to lam = 0. At each breakpoint ``_path_direction``
+    gives the next segment, which ends where a positive entry reaches zero,
+    an inactive correlation c - G p reaches the level, or the level reaches
+    zero. The residual stays in the data domain: along a segment it is
+    r - t a d, so the point where its norm reaches the aim is the smaller
+    root of a quadratic.
+
+    The end at lam = 0 is the nonnegative least-squares optimum (Lawson &
+    Hanson 1974), the smallest residual any p >= 0 reaches; it is returned
+    when it is within ``bound``.
+
+    Raises:
+        SolverInfeasibleError: If the path ends above ``bound``, with that
+            end's residual as ``min_residual``.
+    """
+    a_h = a.conj().T
+    gram, c = (a_h @ a).real, (a_h @ b).real
+    lam_max = lam = float(np.max(c))
+    tie = _TIE_REL * max(lam_max, _TINY)
+    aim = _PATH_AIM * bound
+    x = np.zeros(c.size)
+    history, segments, event = [], 0, -1
+    while lam > 0.0 and segments < _PATH_SEGMENTS_PER_ATOM * c.size:
+        segments += 1
+        on = np.flatnonzero(x > 0.0)
+        r = b - a[:, on] @ x[on]
+        residual = float(np.linalg.norm(r))
+        grad = c - gram[:, on] @ x[on]
+        history.append(0.5 * residual**2 + lam * float(np.sum(x)))
+        tied = (x == 0.0) & (grad >= lam - tie)
+        if event >= 0:
+            tied[event] = True  # the entry that ended the last segment
+        d, passive = _path_direction(gram, x > 0.0, tied, log)
+        idx = np.flatnonzero(passive)
+        log.inner_solves += 1
+        log.peak_support = max(log.peak_support, int(idx.size))
+        ratios = np.full(c.size, np.inf)
+        falling = idx[d[idx] < 0.0]
+        ratios[falling] = x[falling] / -d[falling]
+        slope = 1.0 - gram[:, idx] @ d[idx]
+        rising = ~passive & ~tied & (slope > 0.0)
+        ratios[rising] = (lam - grad[rising]) / slope[rising]
+        event = int(np.argmin(ratios))
+        t = min(float(ratios[event]), lam)
+        u = a[:, idx] @ d[idx]
+        if np.linalg.norm(r - t * u) <= aim:
+            # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation
+            gap = residual**2 - aim**2
+            ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
+            s = min(gap / (ru + np.sqrt(max(ru * ru - uu * gap, 0.0))), t)
+            x[idx] += s * d[idx]
+            lam -= s
+            break
+        x[idx] = np.maximum(x[idx] + t * d[idx], 0.0)
+        if t < lam:
+            x[event] = 0.0
+        lam = lam - t if t < lam else 0.0
+
+    on = np.flatnonzero(x > 0.0)
+    residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
+    if lam <= 0.0 and residual > bound:
+        raise _unreachable(bound, residual)
+    history.append(0.5 * residual**2 + lam * float(np.sum(x)))
+    grad = c - gram[:, on] @ x[on]
+    excess = np.where(x > 0.0, np.abs(grad - lam), np.maximum(grad - lam, 0.0))
+    kkt = float(np.max(excess)) / (lam if lam > 0.0 else lam_max)
+    return _InnerResult(x, residual, kkt, segments, history)
 
 
 def _spectrum_from_result(grid, values, method, result, log, bound, tol) -> SparseSpectrum:
@@ -793,9 +725,8 @@ def reweighted_cs(
     every grid angle is aggregated across snapshots (sum of absolute
     values) and the next pass weights each angle by
     ``1 / (aggregate + xi)``, so angles with persistent energy get cheap
-    and the rest are driven to zero. Iteration stops when consecutive
-    aggregates agree to ``inner_tol`` in max norm or after
-    ``max_reweight_iters`` passes.
+    and the rest are driven to zero. It runs ``max_reweight_iters`` passes,
+    or stops after the first if that returns all zeros.
 
     Returns:
         SparseSpectrum; complex values for a single snapshot, nonnegative
@@ -823,7 +754,6 @@ def reweighted_cs(
     weights = np.ones(a.shape[1])
     xi = config.reweight_xi
     x_warm = np.zeros((a.shape[1], num_l), dtype=complex)
-    prev_agg = None
     log = _SearchLog()
     share = 1.0  # where the last pass ended, relative to its lam_max
     for _ in range(config.max_reweight_iters):
@@ -842,9 +772,6 @@ def reweighted_cs(
             if peak == 0.0:
                 break
             xi = 1e-3 * peak
-        if prev_agg is not None and float(np.max(np.abs(agg - prev_agg))) < config.inner_tol:
-            break
-        prev_agg = agg
         weights = 1.0 / (agg + xi)
 
     values = best.x[:, 0] if num_l == 1 else np.sum(np.abs(best.x), axis=1)
@@ -861,11 +788,11 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     values are the arrival-angle estimates. Path cross terms are not
     modelled; they are absorbed by the residual bound.
 
-    Before the penalty search, a Lawson–Hanson nonnegative least-squares
-    solve looks for the smallest residual any p >= 0 reaches. It stops as
-    soon as the bound is reached, and then the search runs; when it
-    certifies a floor above the bound, the bound is refused without any
-    penalized solve.
+    The solve follows the nonnegative lasso path down from the zero
+    solution (``_nonneg_path``) and returns the point of the path whose
+    residual is ``0.95 * bound``; it is stationary for the penalty level it
+    sits at. When the nonnegative least-squares floor, the end of the path,
+    lies between that and the bound, the floor's solution is returned.
 
     Args:
         lifted: Vectorized signal subspace and lifted dictionary.
@@ -874,12 +801,10 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
 
     Raises:
         SolverInfeasibleError: If the bound is below the best achievable
-            residual. ``min_residual`` is the certified nonnegative
-            least-squares floor, or, when the floor could not be
-            certified, the smallest residual the penalty walk-down reached.
+            residual. ``min_residual`` is the nonnegative least-squares
+            floor, the residual at the end of the path.
     """
     config = config or SolverConfig()
-    a = lifted.matrix
     b = lifted.vector
     grid = lifted.grid
     data_norm = float(np.linalg.norm(b))
@@ -887,18 +812,8 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     if data_norm <= bound:
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
 
-    norms = np.sum(np.abs(a) ** 2, axis=0)
-    corr = (a.conj().T @ b).real
-    floor = _nonneg_floor(a, b, corr, norms, bound)
-    if floor is not None:
-        raise SolverInfeasibleError(
-            f"residual bound {bound:.6e} unreachable; minimum achievable "
-            f"residual {floor:.6e}",
-            min_residual=floor,
-        )
-    lam_max = max(float(np.max(corr)), np.finfo(float).tiny)
     log = _SearchLog()
-    best = _bisect_penalty(a, b, np.zeros(a.shape[1]), norms, config, lam_max, bound, log)
+    best = _nonneg_path(lifted.matrix, b, bound, log)
     return _spectrum_from_result(
         grid, best.x, "subspace_cs", best, log, bound, config.inner_tol
     )

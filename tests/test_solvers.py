@@ -14,15 +14,19 @@ from raysep import (
     SolverConfig,
     SolverInfeasibleError,
     SpectralMatrix,
+    WaveguideScenario,
     bpdn,
     build_dictionary,
     build_lifted_system,
     choose_delta,
     decompose,
     detect_peaks,
+    eigenray_angles,
+    focus_and_smooth,
     lift_dictionary,
     reweighted_cs,
     subspace_cs,
+    synthesize_broadband,
     synthesize_snapshots,
 )
 import raysep.solvers
@@ -266,24 +270,75 @@ def exhaustive_nnls_residual(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def test_subspace_cs_refuses_unreachable_bound_with_certified_floor(monkeypatch):
-    engine = raysep.solvers._cd_lasso
-    inner_calls = []
+    def no_engine(*args, **kwargs):
+        raise AssertionError("subspace_cs must not run the complex lasso engine")
 
-    def counting_engine(*args, **kwargs):
-        inner_calls.append(1)
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(raysep.solvers, "_cd_lasso", counting_engine)
+    monkeypatch.setattr(raysep.solvers, "_cd_lasso", no_engine)
     for seed in range(5):
         lifted = small_lifted_instance(seed)
         floor = exhaustive_nnls_residual(lifted.matrix, lifted.vector)
         with pytest.raises(SolverInfeasibleError, match="residual") as exc:
             subspace_cs(lifted, SolverConfig(residual_bound=0.5 * floor))
         assert exc.value.min_residual == pytest.approx(floor, rel=1e-9)
-    # refused without a single penalized solve
-    assert inner_calls == []
     spec = subspace_cs(lifted, SolverConfig(residual_bound=1.5 * floor))
-    assert inner_calls and spec.residual <= 1.5 * floor * (1 + 1e-6)
+    assert spec.residual <= 1.5 * floor * (1 + 1e-6)
+
+
+def table1_lifted_system(snr_db: float, seed: int):
+    """Coherent five-path Table-1 cell: lifted system and noise-floor allowance."""
+    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
+    scenario = WaveguideScenario(
+        water_depth_m=100.0, range_m=2000.0, source_depth_m=50.0,
+        receiver_depths_m=37.5 + 2.5 * np.arange(11), sound_speed_mps=1500.0,
+        num_paths=5,
+    )
+    grid = AngleGrid.uniform(-10.0, 10.0, 0.2)
+    bins = synthesize_broadband(
+        eigenray_angles(scenario), (1000.0, 2000.0), 32, 150,
+        NoiseSpec(snr_db=snr_db, seed=seed), geom, "coherent",
+    )
+    dec = decompose(focus_and_smooth(bins, 1500.0, grid, geom), 5)
+    lifted = build_lifted_system(dec, build_dictionary(grid, 1500.0, geom))
+    return lifted, choose_delta(dec, 5)
+
+
+def assert_nonneg_lasso_stationary(lifted: LiftedSystem, p: np.ndarray):
+    """p >= 0 meets the nonnegative-lasso conditions at its own level, to 1e-9."""
+    a, b = lifted.matrix, lifted.vector
+    gram = (a.conj().T @ a).real
+    grad = (a.conj().T @ b).real - gram @ p
+    on = p > 0
+    assert np.all(p >= 0) and on.any()
+    level = float(np.mean(grad[on]))
+    assert level > 0
+    assert_allclose(grad[on], level, rtol=1e-9, atol=0)
+    assert np.max(grad[~on]) <= level * (1 + 1e-9)
+
+
+def test_subspace_cs_path_is_stationary_and_lands_in_the_band():
+    solver = SolverConfig(inner_tol=1e-4, inner_max_iters=600)
+    lifted, delta = table1_lifted_system(0.0, seed=5)
+    bounds = [(lifted, delta)]
+    # at +20 dB the allowance is below the nonnegative floor: solve at the retry bound
+    strong, strong_delta = table1_lifted_system(20.0, seed=3)
+    with pytest.raises(SolverInfeasibleError) as exc:
+        subspace_cs(strong, replace(solver, residual_bound=strong_delta))
+    bounds.append((strong, 1.1 * exc.value.min_residual))
+    for system, bound in bounds:
+        spec = subspace_cs(system, replace(solver, residual_bound=bound))
+        assert 0.9 * bound <= spec.residual <= bound
+        assert spec.converged
+        assert spec.residual == pytest.approx(
+            np.linalg.norm(system.vector - system.matrix @ spec.values), rel=1e-12
+        )
+        assert_nonneg_lasso_stationary(system, spec.values)
+
+    # a bound between the floor and floor / 0.95 is met by the end of the path
+    small = small_lifted_instance(2)
+    floor = exhaustive_nnls_residual(small.matrix, small.vector)
+    spec = subspace_cs(small, SolverConfig(residual_bound=1.02 * floor))
+    assert spec.residual == pytest.approx(floor, rel=1e-9)
+    assert spec.converged
 
 
 def test_subspace_cs_solves_tight_reachable_bound():
@@ -534,7 +589,7 @@ def test_polish_reproduces_one_column_loop_inside_lasso_solve(monkeypatch):
     raysep.solvers._cd_lasso(
         a, snap.data, np.full(a.shape[1], lam),
         np.zeros((a.shape[1], snap.data.shape[1]), dtype=complex), 1e-4, 600,
-        np.sum(np.abs(a) ** 2, axis=0), raysep.solvers._ComplexL1,
+        np.sum(np.abs(a) ** 2, axis=0),
     )
     assert seen["rank_deficient"] >= 0.25 * seen["columns"] > 0
 
