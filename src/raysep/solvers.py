@@ -20,12 +20,15 @@ certified floor by the same loop.
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
 the working set (adopted when it lowers the objective) and a full
-stationarity sweep. Penalty continuation (``_continue_penalty``), with
-warm-started steps of at most 2x and a safeguarded secant on log residual
-against log level, puts the residual just under the requested bound, so
-the returned point is a stationary pair for the residual-constrained
-program. The contract is the achieved feasibility and stationarity
-tolerance, not the particular iteration.
+stationarity sweep. The polish runs only on working sets with no more rows
+than the array has sensors: above that, a column's support Gram can be
+singular, so the dense solve has no unique support solution. Penalty
+continuation (``_continue_penalty``), with warm-started steps of at most
+2x and a safeguarded secant on log residual against log level, puts the
+residual just under the requested bound, so the returned point is a
+stationary pair for the residual-constrained program. The contract is the
+achieved feasibility and stationarity tolerance, not the particular
+iteration.
 """
 
 from __future__ import annotations
@@ -122,6 +125,9 @@ class SparseSpectrum:
     grid: AngleGrid
     values: np.ndarray
     method: str
+    # Work over every inner solve: for the complex solvers, coordinate sweeps
+    # plus the polishes that ran (only working sets of at most M rows are
+    # polished); for subspace_cs, the path's k x k solves.
     iterations: int
     residual: float
     residual_bound: float
@@ -158,12 +164,6 @@ class _InnerResult:
     kkt: float
     iterations: int
     objective_history: list
-
-
-def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
-    mag = np.abs(v)
-    keep = np.maximum(mag - threshold, 0.0)
-    return v * (keep / np.maximum(mag, _TINY))
 
 
 def _solve_psd(h: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -295,25 +295,29 @@ def _polish_complex(
     return out.T
 
 
-def _cd_sweep(a, r, x, order, lam_rows, col_norms_sq) -> float:
+def _cd_sweep(a, a_h, r, x, order, lam_rows, col_norms_sq) -> float:
     """One cyclic pass of exact coordinate updates over ``order``.
 
-    Updates ``x`` and the residual ``r`` in place; returns the largest step
-    relative to its coordinate's threshold.
+    ``a_h`` is ``a.conj().T`` as a contiguous array. Updates ``x`` and the
+    residual ``r`` in place; returns the largest step relative to its
+    coordinate's threshold. Each update is a soft threshold of the
+    coordinate's correlation, written out inline: the per-coordinate cost is
+    numpy call overhead, not arithmetic.
     """
+    absolute, maximum, tiny = np.abs, np.maximum, _TINY
     max_step = 0.0
     for q in order:
-        aq = a[:, q]
-        u = aq.conj() @ r + col_norms_sq[q] * x[q]
-        xq_new = _soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
-        delta = xq_new - x[q]
-        step = float(np.max(np.abs(delta)))
+        norm_q, lam_q = col_norms_sq[q], lam_rows[q]
+        x_q = x[q]
+        u = a_h[q] @ r + norm_q * x_q
+        mag = absolute(u)
+        xq_new = u * (maximum(mag - lam_q, 0.0) / maximum(mag, tiny)) / norm_q
+        delta = xq_new - x_q
+        step = float(absolute(delta).max())
         if step > 0.0:
-            r -= np.outer(aq, delta)
+            r -= a[:, q, None] * delta
             x[q] = xq_new
-            max_step = max(
-                max_step, step * col_norms_sq[q] / max(lam_rows[q], _TINY)
-            )
+            max_step = max(max_step, step * norm_q / max(lam_q, tiny))
     return max_step
 
 
@@ -352,9 +356,16 @@ def _cd_lasso(
     over complex x of shape (K, L), with ``_cd_sweep`` as the inner pass,
     ``_polish_complex`` as the dense polish of the nonzero rows and
     ``_violation`` as the stationarity test.
+
+    The polish runs, and counts as a sweep, only when the nonzero rows are
+    no more than the M sensors. A larger support gives rank-deficient
+    column Grams, whose dense solve is not unique; on the Table-1 sweeps
+    every polish of such a support raised the objective and was thrown
+    away, so it is not run.
     """
     x = x0.copy()
     r = b - a @ x
+    a_h = a.conj().T.copy()
 
     def objective(res, lam, coef):
         return 0.5 * float(np.linalg.norm(res) ** 2) + _penalty(lam, coef)
@@ -367,13 +378,14 @@ def _cd_lasso(
         order = sorted(active)
         for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
             sweeps += 1
-            max_step = _cd_sweep(a, r, x, order, lam_rows, col_norms_sq)
+            max_step = _cd_sweep(a, a_h, r, x, order, lam_rows, col_norms_sq)
             history.append(objective(r, lam_rows, x))
             if max_step <= 0.1 * tol or sweeps >= max_sweeps:
                 break
-        # Dense polish on the working set; adopt only on objective decrease.
+        # Dense polish on a working set the sensors can resolve; adopt only
+        # on objective decrease.
         idx = _support(x)
-        if idx.size:
+        if 0 < idx.size <= a.shape[0]:
             sweeps += 1
             a_sub = a[:, idx]
             x_cand = _polish_complex(a_sub, b, lam_rows[idx], x[idx])

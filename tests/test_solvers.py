@@ -560,48 +560,140 @@ def reference_polish_column(a_sub, b_col, lam_sub, x_col):
     return out
 
 
-def test_polish_reproduces_one_column_loop_inside_lasso_solve(monkeypatch):
-    # A coherent five-path Table-1 style scene at 0 dB, solved once from zero
-    # at a tenth of lam_max, where the supports are dense: most polished
-    # columns start with more live entries than the 11 sensors, so their Gram
-    # blocks are rank deficient and a last-bit difference in any product
-    # would move the result. The lockstep polish does the same arithmetic
-    # per column as the loop, so every column matches exactly.
+def table1_scene(num_snapshots: int, noise_seed: int):
+    """A coherent five-path Table-1 style scene at 0 dB: dictionary and snapshots."""
     geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
     d = build_dictionary(AngleGrid.uniform(-10.0, 10.0, 0.2), 1500.0, geom)
     paths = RaypathSet([-6.0, -2.5, 0.4, 3.1, 7.0], [1.0, 0.8, 0.9, 0.7, 0.6],
                        [0.0, 0.001, 0.002, 0.003, 0.004])
-    snap = synthesize_snapshots(paths, 1500.0, 20, NoiseSpec(0.0, 3), geom, "coherent")
-    a = d.matrix
-    lam = 0.1 * float(np.max(np.abs(a.conj().T @ snap.data)))
-    seen = {"columns": 0, "rank_deficient": 0}
-
-    def checked(a_sub, b, lam, x):
-        got = _polish_complex(a_sub, b, lam, x)
-        for col in range(b.shape[1]):
-            want = reference_polish_column(a_sub, b[:, col], lam, x[:, col])
-            np.testing.assert_array_equal(got[:, col], want)
-        seen["columns"] += b.shape[1]
-        seen["rank_deficient"] += int(np.sum(np.count_nonzero(x, axis=0) > 11))
-        return got
-
-    monkeypatch.setattr(raysep.solvers, "_polish_complex", checked)
-    raysep.solvers._cd_lasso(
-        a, snap.data, np.full(a.shape[1], lam),
-        np.zeros((a.shape[1], snap.data.shape[1]), dtype=complex), 1e-4, 600,
-        np.sum(np.abs(a) ** 2, axis=0),
+    snap = synthesize_snapshots(
+        paths, 1500.0, num_snapshots, NoiseSpec(0.0, noise_seed), geom, "coherent"
     )
-    assert seen["rank_deficient"] >= 0.25 * seen["columns"] > 0
+    return d, snap
+
+
+def dense_lasso_state(num_snapshots=20, noise_seed=3):
+    """Five coordinate sweeps from zero over all 101 rows at a tenth of lam_max.
+
+    This is the kind of state a lambda_max/10 solve polishes after a round
+    of sweeps on a large working set: most snapshot columns have more live
+    entries than the 11 sensors.
+    """
+    d, snap = table1_scene(num_snapshots, noise_seed)
+    a, b = d.matrix, snap.data
+    lam_rows = np.full(a.shape[1], 0.1 * float(np.max(np.abs(a.conj().T @ b))))
+    norms = np.sum(np.abs(a) ** 2, axis=0)
+    x = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
+    r = b.copy()
+    a_h = a.conj().T.copy()
+    for _ in range(5):
+        raysep.solvers._cd_sweep(a, a_h, r, x, list(range(a.shape[1])), lam_rows, norms)
+    return a, b, lam_rows, norms, x, r
+
+
+def test_polish_reproduces_one_column_loop_on_dense_lasso_state():
+    # On the dense state most polished columns start with more live entries
+    # than the 11 sensors, so their Gram blocks are rank deficient and a
+    # last-bit difference in any product would move the result. The lockstep
+    # polish does the same arithmetic per column as the loop, so every
+    # column matches exactly.
+    a, b, lam_rows, _, x, _ = dense_lasso_state()
+    idx = np.flatnonzero(np.any(x != 0, axis=1))
+    got = _polish_complex(a[:, idx], b, lam_rows[idx], x[idx])
+    for col in range(b.shape[1]):
+        want = reference_polish_column(a[:, idx], b[:, col], lam_rows[idx], x[idx, col])
+        np.testing.assert_array_equal(got[:, col], want)
+    columns = b.shape[1]
+    rank_deficient = int(np.sum(np.count_nonzero(x[idx], axis=0) > 11))
+    assert rank_deficient >= 0.25 * columns > 0
+
+
+def test_polish_of_a_dense_working_set_does_not_lower_the_objective():
+    # The premise of the polish gate in _cd_lasso: on a working set with
+    # more rows than sensors, after the sweeps of a round, the polished
+    # candidate is no better than the coordinate-descent point, so _cd_lasso
+    # would reject it anyway.
+    a, b, lam_rows, _, x, r = dense_lasso_state()
+    idx = np.flatnonzero(np.any(x != 0, axis=1))
+    assert idx.size > a.shape[0]
+    cand = _polish_complex(a[:, idx], b, lam_rows[idx], x[idx])
+
+    def objective(res, lam, coef):
+        return 0.5 * float(np.linalg.norm(res) ** 2) + raysep.solvers._penalty(lam, coef)
+
+    f_cd = objective(r, lam_rows, x)
+    f_cand = objective(b - a[:, idx] @ cand, lam_rows[idx], cand)
+    assert not f_cand < f_cd
+
+
+def test_reweighted_polishes_only_working_sets_the_sensors_resolve(monkeypatch):
+    # The 0 dB, 20-snapshot scene with the bench's settings and noise-norm
+    # bound: the gate still lets small working sets be polished, and no
+    # polish runs on more rows than the 11 sensors.
+    d, snap = table1_scene(20, 3)
+    eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
+    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
+                       max_reweight_iters=6)
+    rows = []
+
+    def recording(a_sub, b, lam_sub, x):
+        rows.append(a_sub.shape[1])
+        return _polish_complex(a_sub, b, lam_sub, x)
+
+    monkeypatch.setattr(raysep.solvers, "_polish_complex", recording)
+    reweighted_cs(d, snap, cfg)
+    assert rows
+    assert max(rows) <= 11
+
+
+def reference_soft_threshold(v, threshold):
+    mag = np.abs(v)
+    keep = np.maximum(mag - threshold, 0.0)
+    return v * (keep / np.maximum(mag, np.finfo(float).tiny))
+
+
+def reference_cd_sweep(a, r, x, order, lam_rows, col_norms_sq):
+    """One cyclic pass of exact coordinate updates, written plainly.
+
+    The lean sweep in raysep.solvers must do exactly this arithmetic.
+    """
+    max_step = 0.0
+    for q in order:
+        aq = a[:, q]
+        u = aq.conj() @ r + col_norms_sq[q] * x[q]
+        xq_new = reference_soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
+        delta = xq_new - x[q]
+        step = float(np.max(np.abs(delta)))
+        if step > 0.0:
+            r -= np.outer(aq, delta)
+            x[q] = xq_new
+            max_step = max(
+                max_step, step * col_norms_sq[q] / max(lam_rows[q], np.finfo(float).tiny)
+            )
+    return max_step
+
+
+@pytest.mark.parametrize("num_snapshots, noise_seed", [(20, 3), (1, 5)])
+def test_cd_sweep_matches_the_plain_loop_bit_for_bit(num_snapshots, noise_seed):
+    a, _, lam_rows, norms, x0, r0 = dense_lasso_state(num_snapshots, noise_seed)
+    assert np.count_nonzero(np.any(x0 != 0, axis=1)) > 11
+    a_h = a.conj().T.copy()
+    order = list(range(a.shape[1]))
+    x_lean, r_lean = x0.copy(), r0.copy()
+    x_ref, r_ref = x0.copy(), r0.copy()
+    for _ in range(5):
+        step_lean = raysep.solvers._cd_sweep(a, a_h, r_lean, x_lean, order, lam_rows, norms)
+        step_ref = reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
+        np.testing.assert_array_equal(x_lean, x_ref)
+        np.testing.assert_array_equal(r_lean, r_ref)
+        assert step_lean == step_ref
 
 
 def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
     # A coherent five-path Table-1 style snapshot at 0 dB with the bench's
-    # noise-norm bound: the solve walks the penalty down, bisects and polishes.
-    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
-    d = build_dictionary(AngleGrid.uniform(-10.0, 10.0, 0.2), 1500.0, geom)
-    paths = RaypathSet([-6.0, -2.5, 0.4, 3.1, 7.0], [1.0, 0.8, 0.9, 0.7, 0.6],
-                       [0.0, 0.001, 0.002, 0.003, 0.004])
-    snap = synthesize_snapshots(paths, 1500.0, 1, NoiseSpec(0.0, 5), geom, "coherent")
+    # noise-norm bound: the solve continues the penalty toward the bound and
+    # polishes the working sets of at most 11 rows.
+    d, snap = table1_scene(1, 5)
     eps = 1.1 * np.sqrt(snap.noise_power * 11)
     cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
                        max_reweight_iters=6)
@@ -622,11 +714,7 @@ def test_reweighted_passes_approach_the_bound_without_dense_detours(monkeypatch)
     # solve is recorded; its per-row penalties are level * weights, so the
     # weights change, and a new reweighting pass begins, exactly when the
     # penalties stop being a multiple of the previous ones.
-    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
-    d = build_dictionary(AngleGrid.uniform(-10.0, 10.0, 0.2), 1500.0, geom)
-    paths = RaypathSet([-6.0, -2.5, 0.4, 3.1, 7.0], [1.0, 0.8, 0.9, 0.7, 0.6],
-                       [0.0, 0.001, 0.002, 0.003, 0.004])
-    snap = synthesize_snapshots(paths, 1500.0, 20, NoiseSpec(0.0, 3), geom, "coherent")
+    d, snap = table1_scene(20, 3)
     eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
     cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
                        max_reweight_iters=6)
