@@ -157,6 +157,26 @@ class RaypathSet:
         return self.angles_deg.size
 
 
+def _plane_wave_phase(angle_deg, frequency_hz, geometry: ArrayGeometry):
+    """Phase step between adjacent sensors, in radians, for a plane wave.
+
+    ``-2*pi * frequency_hz * spacing_m * sin(angle) / sound_speed``; sensor
+    m carries ``m - reference_index`` steps. Angles and frequencies
+    broadcast against each other, and every element is computed with the
+    same operations in the same order as for scalar arguments, so a
+    broadcast over bins and paths reproduces the per-vector values bit for
+    bit. No range checks: callers validate their inputs.
+    """
+    return (
+        -2.0
+        * np.pi
+        * frequency_hz
+        * geometry.spacing_m
+        * np.sin(np.deg2rad(angle_deg))
+        / geometry.sound_speed_mps
+    )
+
+
 def steering_vector(
     angle_deg: float, frequency_hz: float, geometry: ArrayGeometry
 ) -> np.ndarray:
@@ -182,15 +202,7 @@ def steering_vector(
     if frequency_hz <= 0:
         raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
     m = np.arange(geometry.num_sensors) - geometry.reference_index
-    phase = (
-        -2.0
-        * np.pi
-        * frequency_hz
-        * geometry.spacing_m
-        * np.sin(np.deg2rad(angle_deg))
-        / geometry.sound_speed_mps
-    )
-    return np.exp(1j * phase * m)
+    return np.exp(1j * _plane_wave_phase(angle_deg, frequency_hz, geometry) * m)
 
 
 def build_dictionary(
@@ -210,13 +222,6 @@ def build_dictionary(
             f"grid size {len(grid)} must exceed num_sensors {geometry.num_sensors}"
         )
     m = (np.arange(geometry.num_sensors) - geometry.reference_index)[:, None]
-    phase = (
-        -2.0
-        * np.pi
-        * frequency_hz
-        * geometry.spacing_m
-        * np.sin(np.deg2rad(grid.angles_deg))[None, :]
-        / geometry.sound_speed_mps
-    )
+    phase = _plane_wave_phase(grid.angles_deg[None, :], frequency_hz, geometry)
     matrix = np.exp(1j * m * phase)
     return SteeringDictionary(frequency_hz=frequency_hz, matrix=matrix, grid=grid)

@@ -6,10 +6,16 @@ covariance is mapped to a common focus frequency by a unitary transform
 aligning the two steering manifolds over the search grid, then the mapped
 matrices are averaged. The unitary (orthogonal Procrustes) choice keeps the
 output Hermitian positive semidefinite and leaves noise statistics intact.
+
+The transforms depend only on the bin frequencies, the focus, the grid and
+the geometry, so ``focus_and_smooth`` computes them once per set of these
+and keeps them; the per-bin work runs on (B, M, M) stacks.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +51,7 @@ class SpectralMatrix:
         r = np.asarray(self.matrix)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("spectral matrix must be square")
-        scale = np.linalg.norm(r)
-        if scale > 0 and np.linalg.norm(r - r.conj().T) > _HERMITIAN_RTOL * scale:
-            raise ValueError("spectral matrix is not Hermitian")
-        eigvals = np.linalg.eigvalsh(r)
-        trace = float(np.trace(r).real)
-        if eigvals[0] < -_PSD_RTOL * max(trace, np.finfo(float).tiny):
-            raise ValueError(
-                f"spectral matrix is not positive semidefinite "
-                f"(min eigenvalue {eigvals[0]:.3e})"
-            )
+        _check_hermitian_psd(r)
         r = np.ascontiguousarray(r, dtype=complex)
         r.setflags(write=False)
         object.__setattr__(self, "matrix", r)
@@ -64,14 +61,45 @@ class SpectralMatrix:
         return self.matrix.shape[0]
 
 
+def _check_hermitian_psd(r: np.ndarray) -> None:
+    """Raise ValueError unless ``r``, or every matrix of a stack, is Hermitian PSD.
+
+    ``r`` is (M, M) or (B, M, M). Each matrix is judged on its own scale:
+    the Hermitian defect against its Frobenius norm, the lowest eigenvalue
+    against its trace.
+    """
+    scale = np.linalg.norm(r, axis=(-2, -1))
+    defect = np.linalg.norm(r - _conj_t(r), axis=(-2, -1))
+    if np.any((scale > 0) & (defect > _HERMITIAN_RTOL * scale)):
+        raise ValueError("spectral matrix is not Hermitian")
+    lowest = np.linalg.eigvalsh(r)[..., 0]
+    trace = np.trace(r, axis1=-2, axis2=-1).real
+    bad = lowest < -_PSD_RTOL * np.maximum(trace, np.finfo(float).tiny)
+    if np.any(bad):
+        raise ValueError(
+            f"spectral matrix is not positive semidefinite "
+            f"(min eigenvalue {lowest[bad].flat[0]:.3e})"
+        )
+
+
+def _conj_t(r: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return r.conj().swapaxes(-1, -2)
+
+
 def _hermitize(r: np.ndarray) -> np.ndarray:
-    return 0.5 * (r + r.conj().T)
+    return 0.5 * (r + _conj_t(r))
+
+
+def _sample_covariance(snapshots: SnapshotMatrix) -> np.ndarray:
+    """The average of y yᴴ over the snapshot columns, before hermitizing."""
+    y = snapshots.data
+    return y @ y.conj().T / snapshots.num_snapshots
 
 
 def estimate_spectral_matrix(snapshots: SnapshotMatrix) -> SpectralMatrix:
     """Sample covariance of the snapshots: the average of y yᴴ over columns."""
-    y = snapshots.data
-    r = _hermitize(y @ y.conj().T / snapshots.num_snapshots)
+    r = _hermitize(_sample_covariance(snapshots))
     return SpectralMatrix(
         matrix=r,
         num_snapshots=snapshots.num_snapshots,
@@ -108,6 +136,44 @@ def focusing_transform(
     return u @ vh
 
 
+# Focusing transforms depend only on the bin frequencies, the focus, the
+# grid and the geometry, which a Monte-Carlo plan fixes for all of its
+# cells; this memo holds the last few sets, keyed by value.
+_FOCUSING_MEMO_SIZE = 8
+_focusing_memo: OrderedDict = OrderedDict()
+_focusing_memo_lock = threading.Lock()
+
+
+def _focusing_stacks(
+    freqs: tuple, focus_frequency_hz: float, grid: AngleGrid, geometry: ArrayGeometry
+) -> tuple:
+    """Read-only stacks T and Tᴴ, shape (B, M, M), mapping each of ``freqs`` to the focus.
+
+    A miss calls ``focusing_transform`` once per frequency, under the lock,
+    so a second thread waits for the set instead of computing it again; a
+    FocusingError propagates and nothing is stored, so the next call raises
+    again. Tᴴ is the conjugate-transpose view of a contiguous conjugate,
+    laid out as ``t.conj().T`` is for one bin.
+    """
+    key = (freqs, focus_frequency_hz, grid.angles_deg.tobytes(), geometry)
+    with _focusing_memo_lock:
+        stacks = _focusing_memo.get(key)
+        if stacks is None:
+            t = np.stack(
+                [focusing_transform(f, focus_frequency_hz, grid, geometry) for f in freqs]
+            )
+            t_conj = t.conj()
+            t.setflags(write=False)
+            t_conj.setflags(write=False)
+            stacks = (t, t_conj.swapaxes(-1, -2))
+            _focusing_memo[key] = stacks
+            if len(_focusing_memo) > _FOCUSING_MEMO_SIZE:
+                _focusing_memo.popitem(last=False)
+        else:
+            _focusing_memo.move_to_end(key)
+    return stacks
+
+
 def focus_and_smooth(
     bins: list[SnapshotMatrix],
     focus_frequency_hz: float | None,
@@ -133,20 +199,27 @@ def focus_and_smooth(
     if focus_frequency_hz is None:
         focus_frequency_hz = 0.5 * (min(freqs) + max(freqs))
 
+    # Per-bin covariances, written into one stack without stacking the data.
     m = bins[0].num_sensors
+    r = np.empty((len(bins), m, m), dtype=complex)
+    for k, snap in enumerate(bins):
+        r[k] = _sample_covariance(snap)
+    r = _hermitize(r)
+    _check_hermitian_psd(r)
+
+    # A bin at the focus frequency enters unmapped, so it stays exact.
+    off = [k for k, f in enumerate(freqs) if f != focus_frequency_hz]
+    if off:
+        t, t_h = _focusing_stacks(
+            tuple(freqs[k] for k in off), float(focus_frequency_hz), grid, geometry
+        )
+        r[off] = t @ r[off] @ t_h
+
     acc = np.zeros((m, m), dtype=complex)
-    total_snapshots = 0
-    for snap in bins:
-        r = estimate_spectral_matrix(snap).matrix
-        if snap.frequency_hz == focus_frequency_hz:
-            acc += r
-        else:
-            t = focusing_transform(snap.frequency_hz, focus_frequency_hz, grid, geometry)
-            acc += t @ r @ t.conj().T
-        total_snapshots += snap.num_snapshots
+    for rk in r:  # in bin order
+        acc += rk
     return SpectralMatrix(
         matrix=_hermitize(acc / len(bins)),
-        num_snapshots=total_snapshots,
+        num_snapshots=sum(snap.num_snapshots for snap in bins),
         frequency_hz=float(focus_frequency_hz),
     )
-

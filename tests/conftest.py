@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from raysep import AngleGrid, ArrayGeometry, build_dictionary
+from raysep import AngleGrid, ArrayGeometry, RaypathSet, build_dictionary
 
 
 @pytest.fixture
@@ -14,6 +14,16 @@ def half_wave_geometry():
 def coarse_grid():
     """Alias-free 1-degree grid; adjacent columns stay well separated."""
     return AngleGrid.uniform(-90.0, 90.0, 1.0)
+
+
+@pytest.fixture
+def five_path_fan():
+    """Table-1 style eigenray fan with unequal delays and surface-bounce signs."""
+    return RaypathSet(
+        [-4.3, -1.4, 0.9, 2.9, 5.7],
+        [1.0, -1.0, 1.0, -1.0, 1.0],
+        [1.3346, 1.3352, 1.3347, 1.3361, 1.3370],
+    )
 
 
 @pytest.fixture
