@@ -28,7 +28,7 @@ from .solvers import (
     subspace_cs,
 )
 from .spectral import FocusingError, estimate_spectral_matrix, focus_and_smooth
-from .subspace import build_lifted_system, decompose
+from .subspace import LiftedSystem, _owned_lift, decompose, vectorize_signal_subspace
 
 __all__ = [
     "ALGORITHMS",
@@ -206,13 +206,21 @@ class EstimatorSettings:
 
 
 class _TrialData:
-    """One snapshot data set plus lazily shared covariance estimates."""
+    """One snapshot data set plus lazily shared covariance estimates.
 
-    def __init__(self, settings: EstimatorSettings, bins, dictionary, focus_hz):
+    ``lifted_matrix`` is the lifted dictionary when a run shares one
+    between its data sets; otherwise it is lifted at the first
+    ``subspace_cs`` solve.
+    """
+
+    def __init__(
+        self, settings: EstimatorSettings, bins, dictionary, focus_hz, lifted_matrix=None
+    ):
         self.settings = settings
         self.bins = bins
         self.dictionary = dictionary
         self.focus_hz = focus_hz
+        self.lifted_matrix = lifted_matrix
         freqs = np.array([b.frequency_hz for b in bins])
         self.center = bins[int(np.argmin(np.abs(freqs - focus_hz)))]
         self.retried = set()  # algorithms whose solve was retried
@@ -233,6 +241,13 @@ class _TrialData:
                     self.bins, self.focus_hz, self.settings.grid, self.settings.geometry
                 )
         return self._smooth
+
+    def lifted_system(self, decomposition):
+        if self.lifted_matrix is None:
+            self.lifted_matrix = _owned_lift(self.dictionary)
+        return LiftedSystem(
+            vectorize_signal_subspace(decomposition), self.lifted_matrix, self.dictionary.grid
+        )
 
 
 def _with_bound(config: SolverConfig, bound: float) -> SolverConfig:
@@ -265,7 +280,7 @@ def _run_algorithm(data: _TrialData, alg: str):
         return reweighted_cs(data.dictionary, data.center, _with_bound(s.solver, bound))
     if alg == "subspace_cs":
         dec = decompose(data.smoothed_covariance(), s.num_paths)
-        lifted = build_lifted_system(dec, data.dictionary)
+        lifted = data.lifted_system(dec)
         bound = choose_delta(dec, s.num_paths, factor=s.delta_factor)
         try:
             return subspace_cs(lifted, _with_bound(s.solver, bound))
@@ -280,6 +295,8 @@ def _run_algorithm(data: _TrialData, alg: str):
 
 def estimate_spectra(bins: list, settings: EstimatorSettings) -> dict:
     """Run every selected algorithm on the given snapshot bins.
+
+    ``subspace_cs``, if selected, lifts the dictionary once for the call.
 
     Returns:
         Mapping from algorithm name to its spectrum object.
@@ -470,18 +487,20 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
     Args:
         plan: Sweep description.
         threads: Worker threads, at most one per usable CPU. A plan
-            without sparse solvers can gain from a second thread, since
-            focusing works on stacked arrays with transforms computed once
-            (74 -> 86 cells/s on the benchmark's 64-bin smoothed MUSIC/CBF
-            plan on a 2-core VM; a run on a busier machine showed no gain).
-            The sparse solvers hold the interpreter lock, so a plan that
-            runs them slows (46 -> 31 cells/s). Trials are independent and
-            report assembly is ordered, so the thread count never changes
-            results.
+            without sparse solvers neither gains nor loses reliably from a
+            second thread (on the benchmark's 64-bin smoothed MUSIC/CBF plan
+            on a 2-core VM, four runs gave medians of 89-97 cells/s on one
+            thread and 87-95 on two, faster on two in two of the runs). The
+            sparse solvers hold the interpreter lock, so a plan that runs
+            them slows (75 -> 67 and 87 -> 60 cells/s). Trials are
+            independent and report assembly is ordered, so the thread count
+            never changes results.
     """
     threads = min(threads, _usable_cpus())
     settings = plan.estimator_settings()
     dictionary = build_dictionary(plan.grid, plan.focus_frequency_hz, plan.geometry)
+    # one lifted matrix per run, so its nonnegative-path memo serves every cell
+    lifted = _owned_lift(dictionary) if "subspace_cs" in plan.algorithms else None
     cells = [(si, ti) for si in range(len(plan.snr_list)) for ti in range(plan.trials)]
 
     def run_cell(cell):
@@ -496,7 +515,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
             plan.geometry,
             plan.coherence,
         )
-        data = _TrialData(settings, bins, dictionary, plan.focus_frequency_hz)
+        data = _TrialData(settings, bins, dictionary, plan.focus_frequency_hz, lifted)
         peaks = {}
         flagged = []
         outcomes = {}

@@ -15,7 +15,9 @@
 to breakpoint in the Gram domain until the data residual reaches the
 requested bound. Its end at level 0 is the nonnegative least-squares
 optimum (Lawson & Hanson 1974), so an unreachable bound is refused with a
-certified floor by the same loop.
+certified floor by the same loop. What a segment computes from the lifted
+matrix alone (the Gram, and per passive set its solve, rate and move) is
+kept in a memo that lives as long as that matrix (``_path_memo``).
 
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
@@ -33,6 +35,9 @@ iteration.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +45,7 @@ import numpy as np
 from .arrays import AngleGrid, SteeringDictionary
 from .simulate import SnapshotMatrix
 from .spectral import SpectralMatrix
-from .subspace import LiftedSystem, SubspaceDecomposition
+from .subspace import LiftedSystem, SubspaceDecomposition, _owns_lift
 
 __all__ = [
     "SolverConfig",
@@ -72,6 +77,8 @@ _TIE_REL = 1e-15
 # faster than this, relative to the level's own rate.
 _ADMIT_TOL = 1e-10
 _PATH_SEGMENTS_PER_ATOM = 10
+# Passive sets whose segment solves the path memo of one lifted matrix keeps.
+_PATH_MEMO_SETS = 128
 _TINY = np.finfo(float).tiny
 
 
@@ -127,7 +134,9 @@ class SparseSpectrum:
     method: str
     # Work over every inner solve: for the complex solvers, coordinate sweeps
     # plus the polishes that ran (only working sets of at most M rows are
-    # polished); for subspace_cs, the path's k x k solves.
+    # polished); for subspace_cs, the k x k passive-set systems the path
+    # visits, each counted whether its solve came from the path memo or was
+    # computed.
     iterations: int
     residual: float
     residual_bound: float
@@ -535,7 +544,83 @@ def _continue_penalty(
     return lo[1], lo[0]
 
 
-def _path_direction(gram, free, tied, log: _SearchLog):
+class _Segment:
+    """Passive set P's solve z of G_PP z = 1, its rate 1 - G[:, P] z and its move a[:, P] z."""
+
+    __slots__ = ("z", "rate", "_move")
+
+    def __init__(self, z, rate):
+        self.z, self.rate, self._move = z, rate, None
+
+    def move(self, a, idx) -> np.ndarray:
+        """a[:, idx] @ z, formed the first time a segment ends on P."""
+        if self._move is None:
+            self._move = _read_only(a[:, idx] @ self.z)
+        return self._move
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _PathMemo:
+    """The part of nonnegative-path segments that depends on one lifted matrix only.
+
+    The real Gram G = Re(aᴴa) is formed once. A segment on passive set P
+    solves G_PP z = 1, and its correlations change at the rate 1 - G[:, P] z;
+    neither depends on the data, so both are kept, with the segment's move
+    a[:, P] z in the data domain, for the last ``_PATH_MEMO_SETS`` sets
+    used, keyed by the sorted indices of P. Every array is what the
+    unmemoized expression gives on the same inputs, and is read-only.
+    """
+
+    def __init__(self, a):
+        a_h = a.conj().T
+        self.gram = _read_only(np.ascontiguousarray((a_h @ a).real))
+        self._sets: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def segment(self, idx) -> _Segment:
+        key = idx.tobytes()
+        with self._lock:
+            seg = self._sets.get(key)
+            if seg is None:
+                gram = self.gram
+                z = _solve_psd(gram[np.ix_(idx, idx)], np.ones(idx.size))
+                seg = _Segment(_read_only(z), _read_only(1.0 - gram[:, idx] @ z))
+                self._sets[key] = seg
+                if len(self._sets) > _PATH_MEMO_SETS:
+                    self._sets.popitem(last=False)
+            else:
+                self._sets.move_to_end(key)
+        return seg
+
+
+# id(lifted matrix) -> (weak reference to it, its _PathMemo); an entry goes
+# when its matrix does.
+_path_memos: dict = {}
+_path_memo_lock = threading.Lock()
+
+
+def _path_memo(a) -> _PathMemo:
+    """The path memo of lifted matrix ``a``, shared for as long as ``a`` lives.
+
+    Only a matrix the library made and holds read-only shares its memo
+    (see ``LiftedSystem``); any other gets a memo of its own for one solve.
+    """
+    if not _owns_lift(a):
+        return _PathMemo(a)
+    key = id(a)
+    with _path_memo_lock:
+        held = _path_memos.get(key)
+        if held is None or held[0]() is not a:
+            ref = weakref.ref(a, lambda _, key=key: _path_memos.pop(key, None))
+            held = _path_memos[key] = (ref, _PathMemo(a))
+    return held[1]
+
+
+def _path_direction(memo: _PathMemo, free, tied, log: _SearchLog):
     """Direction of the nonnegative lasso path just below a breakpoint.
 
     Below the breakpoint the solution moves as x + t d while the level falls
@@ -546,16 +631,21 @@ def _path_direction(gram, free, tied, log: _SearchLog):
     would outgrow the level fastest, solve the passive set, and step back
     along the segment while a tied entry would go <= 0. An entry dropped as
     soon as it is admitted is not admitted again, so rounding cannot cycle.
+    The passive-set solves come from ``memo``; every one counts in
+    ``log.iterations``, found or solved.
 
     Returns:
-        The direction d and its passive set.
+        The direction d, its passive set, and the memo's segment of that
+        set when d is its solve (None for an empty set or a spent budget).
     """
     passive, admissible, d = free.copy(), tied.copy(), np.zeros(free.size)
     j = -1
     for _ in range(3 * free.size):
         idx = np.flatnonzero(passive)
+        seg = None
         if idx.size:
-            z = _solve_psd(gram[np.ix_(idx, idx)], np.ones(idx.size))
+            seg = memo.segment(idx)
+            z = seg.z
             log.iterations += 1
             neg = tied[idx] & (z <= 0.0)
             if neg.any():
@@ -572,15 +662,16 @@ def _path_direction(gram, free, tied, log: _SearchLog):
                     admissible[j] = False
                 continue
             d[idx] = z
-        growth = np.where(admissible & ~passive, 1.0 - gram[:, idx] @ d[idx], -np.inf)
+        rate = seg.rate if idx.size else 1.0  # 1 - G d with d = 0
+        growth = np.where(admissible & ~passive, rate, -np.inf)
         j = int(np.argmax(growth))
         if growth[j] <= _ADMIT_TOL:
-            break
+            return d, passive, seg
         passive[j] = True
-    return d, passive
+    return d, passive, None
 
 
-def _nonneg_path(a, b, bound: float, log: _SearchLog) -> _InnerResult:
+def _nonneg_path(a, b, bound: float, log: _SearchLog, memo: _PathMemo) -> _InnerResult:
     """Nonnegative lasso homotopy down to ``_PATH_AIM * bound``.
 
     The solution of min 0.5 ||b - a p||^2 + lam * sum(p) over real p >= 0
@@ -595,14 +686,14 @@ def _nonneg_path(a, b, bound: float, log: _SearchLog) -> _InnerResult:
 
     The end at lam = 0 is the nonnegative least-squares optimum (Lawson &
     Hanson 1974), the smallest residual any p >= 0 reaches; it is returned
-    when it is within ``bound``.
+    when it is within ``bound``. ``memo``, the path memo of ``a``, holds
+    the Gram and each segment's part that does not depend on ``b``.
 
     Raises:
         SolverInfeasibleError: If the path ends above ``bound``, with that
             end's residual as ``min_residual``.
     """
-    a_h = a.conj().T
-    gram, c = (a_h @ a).real, (a_h @ b).real
+    gram, c = memo.gram, (a.conj().T @ b).real
     lam_max = lam = float(np.max(c))
     tie = _TIE_REL * max(lam_max, _TINY)
     aim = _PATH_AIM * bound
@@ -618,19 +709,19 @@ def _nonneg_path(a, b, bound: float, log: _SearchLog) -> _InnerResult:
         tied = (x == 0.0) & (grad >= lam - tie)
         if event >= 0:
             tied[event] = True  # the entry that ended the last segment
-        d, passive = _path_direction(gram, x > 0.0, tied, log)
+        d, passive, seg = _path_direction(memo, x > 0.0, tied, log)
         idx = np.flatnonzero(passive)
         log.inner_solves += 1
         log.peak_support = max(log.peak_support, int(idx.size))
         ratios = np.full(c.size, np.inf)
         falling = idx[d[idx] < 0.0]
         ratios[falling] = x[falling] / -d[falling]
-        slope = 1.0 - gram[:, idx] @ d[idx]
+        slope = seg.rate if seg is not None else 1.0 - gram[:, idx] @ d[idx]
         rising = ~passive & ~tied & (slope > 0.0)
         ratios[rising] = (lam - grad[rising]) / slope[rising]
         event = int(np.argmin(ratios))
         t = min(float(ratios[event]), lam)
-        u = a[:, idx] @ d[idx]
+        u = seg.move(a, idx) if seg is not None else a[:, idx] @ d[idx]
         if np.linalg.norm(r - t * u) <= aim:
             # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation
             gap = residual**2 - aim**2
@@ -825,7 +916,7 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
 
     log = _SearchLog()
-    best = _nonneg_path(lifted.matrix, b, bound, log)
+    best = _nonneg_path(lifted.matrix, b, bound, log, _path_memo(lifted.matrix))
     return _spectrum_from_result(
         grid, best.x, "subspace_cs", best, log, bound, config.inner_tol
     )

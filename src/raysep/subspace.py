@@ -11,6 +11,7 @@ separates arrivals closer than the classical resolution limit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +105,50 @@ def lift_dictionary(dictionary: SteeringDictionary) -> np.ndarray:
     """
     g = dictionary.matrix
     m, q = g.shape
-    return (g[:, None, :] * g.conj()[None, :, :]).reshape(m * m, q)
+    lifted = np.empty((m * m, q), dtype=complex)
+    np.multiply(g[:, None, :], g.conj()[None, :, :], out=lifted.reshape(m, m, q))
+    return lifted
+
+
+# Lifted matrices the library holds read-only, by id. Only these are shared
+# between lifted systems, so whatever is computed from one of them (the
+# nonnegative path's memo in ``raysep.solvers``) stays valid while it lives.
+_owned_lifts: dict = {}
+
+
+def _own(fresh: np.ndarray) -> np.ndarray:
+    """A read-only view of ``fresh``, registered as owned.
+
+    ``fresh`` owns its data and nothing else refers to it. The view cannot
+    be made writable again, since its base is read-only.
+    """
+    fresh.setflags(write=False)
+    view = fresh.view()
+    key = id(view)
+    _owned_lifts[key] = weakref.ref(view, lambda _, key=key: _owned_lifts.pop(key, None))
+    return view
+
+
+def _owns_lift(matrix) -> bool:
+    """Whether ``matrix`` is a lifted matrix the library made and holds read-only."""
+    ref = _owned_lifts.get(id(matrix))
+    return ref is not None and ref() is matrix
+
+
+def _owned_lift(dictionary: SteeringDictionary) -> np.ndarray:
+    """``lift_dictionary``, read-only and owned, to share between lifted systems."""
+    return _own(lift_dictionary(dictionary))
 
 
 @dataclass(frozen=True)
 class LiftedSystem:
-    """Vectorized signal subspace paired with the lifted dictionary."""
+    """Vectorized signal subspace paired with the lifted dictionary.
+
+    A lifted matrix the library made (``build_lifted_system``, or the
+    ``matrix`` of another lifted system) is shared as it is; any other array
+    is copied once, so later changes to the caller's array never reach the
+    system.
+    """
 
     vector: np.ndarray
     matrix: np.ndarray
@@ -117,13 +156,13 @@ class LiftedSystem:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        g = np.asarray(self.matrix, dtype=complex)
+        g = self.matrix
+        if not _owns_lift(g):
+            g = _own(np.array(g, dtype=complex, order="C"))
         if g.ndim != 2 or g.shape[0] != v.size or g.shape[1] != len(self.grid):
             raise ValueError("lifted matrix must be len(vector) x grid size")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-        g = np.ascontiguousarray(g)
-        g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
 
 
@@ -138,7 +177,7 @@ def build_lifted_system(
         )
     return LiftedSystem(
         vector=vectorize_signal_subspace(decomposition),
-        matrix=lift_dictionary(dictionary),
+        matrix=_owned_lift(dictionary),
         grid=dictionary.grid,
     )
 

@@ -1,3 +1,4 @@
+import gc
 import os
 from dataclasses import replace
 
@@ -6,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import raysep.bench
+import raysep.solvers
+import raysep.subspace
 from raysep import (
     AngleGrid,
     ArrayGeometry,
@@ -389,3 +392,33 @@ def test_solver_outcomes_count_retries_and_zero_spectra_without_flagging():
     }
     assert serial.flagged_trials == ()
     assert parallel.to_json_dict() == serial.to_json_dict()
+
+
+def test_a_run_lifts_once_and_its_path_memo_ends_with_it(monkeypatch):
+    geom, paths, grid = table1_fixture()
+    lifts, memos = [], []
+    lift, memo_of = raysep.subspace.lift_dictionary, raysep.solvers._path_memo
+
+    def counted_lift(dictionary):
+        lifts.append(dictionary)
+        return lift(dictionary)
+
+    def recorded_memo(matrix):
+        memos.append(memo_of(matrix))
+        return memos[-1]
+
+    monkeypatch.setattr(raysep.subspace, "lift_dictionary", counted_lift)
+    monkeypatch.setattr(raysep.solvers, "_path_memo", recorded_memo)
+    gc.collect()
+    held = set(raysep.solvers._path_memos)
+    small = dict(paths=paths, geometry=geom, grid=grid, snr_list=(20.0,), trials=2,
+                 num_bins=4, num_snapshots=30, seed=3)
+    run_experiment(ExperimentPlan(algorithms=("music", "cbf"), **small))
+    assert lifts == [] and memos == []
+    run_experiment(ExperimentPlan(algorithms=("subspace_cs", "cbf"), **small))
+    assert len(lifts) == 1
+    # two cells, each refused and retried: one memo serves all four solves
+    assert len(memos) == 4 and all(m is memos[0] for m in memos)
+    del memos[:]
+    gc.collect()
+    assert set(raysep.solvers._path_memos) == held

@@ -1,9 +1,13 @@
+import gc
 import itertools
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from raysep import (
     AngleGrid,
@@ -744,3 +748,265 @@ def test_reweighted_passes_approach_the_bound_without_dense_detours(monkeypatch)
         final = max(level for level, residual in levels if residual <= eps)
         assert min(level for level, _ in levels) >= 0.5 * final * (1 - 1e-12)
     assert spec.residual <= eps * (1 + 1e-6)
+
+
+def reference_path_direction(gram, free, tied, log):
+    """The path direction with every passive set solved afresh.
+
+    The memoized direction in raysep.solvers must return exactly this.
+    """
+    S = raysep.solvers
+    passive, admissible, d = free.copy(), tied.copy(), np.zeros(free.size)
+    j = -1
+    for _ in range(3 * free.size):
+        idx = np.flatnonzero(passive)
+        if idx.size:
+            z = S._solve_psd(gram[np.ix_(idx, idx)], np.ones(idx.size))
+            log.iterations += 1
+            neg = tied[idx] & (z <= 0.0)
+            if neg.any():
+                cur = d[idx[neg]]
+                ratios = cur / np.maximum(cur - z[neg], S._TINY)
+                m = int(np.argmin(ratios))
+                d[idx] += ratios[m] * (z - d[idx])
+                d[idx[neg][m]] = 0.0
+                out = idx[tied[idx] & (d[idx] <= 0.0)]
+                d[out] = 0.0
+                passive[out] = False
+                if j >= 0 and not passive[j]:
+                    admissible[j] = False
+                continue
+            d[idx] = z
+        growth = np.where(admissible & ~passive, 1.0 - gram[:, idx] @ d[idx], -np.inf)
+        j = int(np.argmax(growth))
+        if growth[j] <= S._ADMIT_TOL:
+            break
+        passive[j] = True
+    return d, passive
+
+
+def reference_nonneg_path(a, b, bound, log):
+    """The nonnegative lasso homotopy with its Gram and segments computed per call."""
+    S = raysep.solvers
+    a_h = a.conj().T
+    gram, c = (a_h @ a).real, (a_h @ b).real
+    lam_max = lam = float(np.max(c))
+    tie = S._TIE_REL * max(lam_max, S._TINY)
+    aim = S._PATH_AIM * bound
+    x = np.zeros(c.size)
+    history, segments, event = [], 0, -1
+    while lam > 0.0 and segments < S._PATH_SEGMENTS_PER_ATOM * c.size:
+        segments += 1
+        on = np.flatnonzero(x > 0.0)
+        r = b - a[:, on] @ x[on]
+        residual = float(np.linalg.norm(r))
+        grad = c - gram[:, on] @ x[on]
+        history.append(0.5 * residual**2 + lam * float(np.sum(x)))
+        tied = (x == 0.0) & (grad >= lam - tie)
+        if event >= 0:
+            tied[event] = True
+        d, passive = reference_path_direction(gram, x > 0.0, tied, log)
+        idx = np.flatnonzero(passive)
+        log.inner_solves += 1
+        log.peak_support = max(log.peak_support, int(idx.size))
+        ratios = np.full(c.size, np.inf)
+        falling = idx[d[idx] < 0.0]
+        ratios[falling] = x[falling] / -d[falling]
+        slope = 1.0 - gram[:, idx] @ d[idx]
+        rising = ~passive & ~tied & (slope > 0.0)
+        ratios[rising] = (lam - grad[rising]) / slope[rising]
+        event = int(np.argmin(ratios))
+        t = min(float(ratios[event]), lam)
+        u = a[:, idx] @ d[idx]
+        if np.linalg.norm(r - t * u) <= aim:
+            gap = residual**2 - aim**2
+            ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
+            s = min(gap / (ru + np.sqrt(max(ru * ru - uu * gap, 0.0))), t)
+            x[idx] += s * d[idx]
+            lam -= s
+            break
+        x[idx] = np.maximum(x[idx] + t * d[idx], 0.0)
+        if t < lam:
+            x[event] = 0.0
+        lam = lam - t if t < lam else 0.0
+
+    on = np.flatnonzero(x > 0.0)
+    residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
+    if lam <= 0.0 and residual > bound:
+        raise S._unreachable(bound, residual)
+    history.append(0.5 * residual**2 + lam * float(np.sum(x)))
+    grad = c - gram[:, on] @ x[on]
+    excess = np.where(x > 0.0, np.abs(grad - lam), np.maximum(grad - lam, 0.0))
+    kkt = float(np.max(excess)) / (lam if lam > 0.0 else lam_max)
+    return S._InnerResult(x, residual, kkt, segments, history)
+
+
+def walk(path, a, b, bound, *memo):
+    """(result or refused min_residual, log) of one nonnegative path walk."""
+    log = raysep.solvers._SearchLog()
+    try:
+        return path(a, b, bound, log, *memo), log
+    except SolverInfeasibleError as exc:
+        return exc.min_residual, log
+
+
+def assert_same_walk(got, want):
+    (res, log), (ref, ref_log) = got, want
+    assert type(res) is type(ref)
+    if isinstance(ref, float):
+        assert res == ref
+    else:
+        assert_array_equal(res.x, ref.x)
+        assert res.residual == ref.residual
+        assert res.kkt == ref.kkt
+        assert_array_equal(res.objective_history, ref.objective_history)
+        assert res.iterations == ref.iterations
+    assert (log.iterations, log.inner_solves, log.peak_support) == (
+        ref_log.iterations, ref_log.inner_solves, ref_log.peak_support
+    )
+
+
+def memo_walk_cases():
+    """(matrix, vector, bound) on one shared lifted matrix per scene.
+
+    Table-1 cells at 0, +5 and +20 dB (seeds 3, 5, 7) at their noise-floor
+    allowance, and the small random-covariance instances (seeds 0-4) at the
+    exact-fit limit, which every one of them refuses.
+    """
+    table1 = [table1_lifted_system(snr, seed) for snr in (0.0, 5.0, 20.0) for seed in (3, 5, 7)]
+    shared = table1[0][0].matrix
+    cases = [(shared, lifted.vector, delta) for lifted, delta in table1]
+    small = [small_lifted_instance(seed) for seed in range(5)]
+    cases += [
+        (small[0].matrix, s.vector, 1e-9 * np.linalg.norm(s.vector)) for s in small
+    ]
+    return cases
+
+
+def test_memoized_path_matches_the_unmemoized_walk_bit_for_bit():
+    S = raysep.solvers
+    memos = {}
+    refused = 0
+    for a, b, bound in memo_walk_cases():
+        shared = memos.setdefault(id(a), S._PathMemo(a))
+        want = walk(reference_nonneg_path, a, b, bound)
+        assert_same_walk(walk(S._nonneg_path, a, b, bound, S._PathMemo(a)), want)
+        assert_same_walk(walk(S._nonneg_path, a, b, bound, shared), want)
+        # the same walk again, with every set it visits in the memo
+        assert_same_walk(walk(S._nonneg_path, a, b, bound, shared), want)
+        if isinstance(want[0], float):
+            refused += 1
+            retry = 1.1 * want[0]
+            want = walk(reference_nonneg_path, a, b, retry)
+            assert not isinstance(want[0], float)
+            assert_same_walk(walk(S._nonneg_path, a, b, retry, shared), want)
+            assert_same_walk(walk(S._nonneg_path, a, b, retry, S._PathMemo(a)), want)
+    # +5 and +20 dB and every small instance are refused; 0 dB is not
+    assert refused == 11
+
+
+def test_path_memo_is_bounded_and_read_only(monkeypatch):
+    S = raysep.solvers
+    for bound in (8, S._PATH_MEMO_SETS):
+        monkeypatch.setattr(S, "_PATH_MEMO_SETS", bound)
+        cases = memo_walk_cases()[:9]
+        memo = S._PathMemo(cases[0][0])
+        segment, sizes, visited = memo.segment, [], set()
+
+        def counted(idx):
+            visited.add(idx.tobytes())
+            seg = segment(idx)
+            sizes.append(len(memo._sets))
+            return seg
+
+        memo.segment = counted
+        for a, b, delta in cases:
+            got = walk(S._nonneg_path, a, b, delta, memo)
+            assert_same_walk(got, walk(reference_nonneg_path, a, b, delta))
+        assert len(visited) > bound  # the walks overflow the memo
+        assert max(sizes) == bound
+        assert not memo.gram.flags.writeable
+        for seg in memo._sets.values():
+            assert not seg.z.flags.writeable and not seg.rate.flags.writeable
+            assert seg._move is None or not seg._move.flags.writeable
+
+
+def test_shared_path_memo_keeps_its_bound_and_results_under_threads(monkeypatch):
+    S = raysep.solvers
+    monkeypatch.setattr(S, "_PATH_MEMO_SETS", 2)
+    cases = memo_walk_cases()[:9] * 4
+    wants = [walk(reference_nonneg_path, a, b, delta) for a, b, delta in cases]
+    memo = S._PathMemo(cases[0][0])
+    segment, sizes = memo.segment, []
+
+    def counted(idx):
+        seg = segment(idx)
+        sizes.append(len(memo._sets))
+        return seg
+
+    memo.segment = counted
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(walk, S._nonneg_path, a, b, delta, memo) for a, b, delta in cases]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for got, want in zip(results, wants):
+        assert_same_walk(got, want)
+    assert max(sizes) == 2
+
+
+def test_path_memo_lives_as_long_as_its_lifted_matrix():
+    S = raysep.solvers
+    lifted, delta = table1_lifted_system(0.0, seed=5)
+    subspace_cs(lifted, SolverConfig(residual_bound=delta))
+    memo = S._path_memos[id(lifted.matrix)][1]
+    assert memo._sets
+    # a system built on the same lifted matrix shares its memo
+    other = LiftedSystem(2.0 * lifted.vector, lifted.matrix, lifted.grid)
+    assert other.matrix is lifted.matrix
+    assert S._path_memo(other.matrix) is memo
+    matrix_ref, memo_ref, key = weakref.ref(lifted.matrix), weakref.ref(memo), id(lifted.matrix)
+    del lifted, other, memo
+    gc.collect()
+    assert matrix_ref() is None and memo_ref() is None
+    assert key not in S._path_memos
+
+
+def test_path_memo_never_serves_another_lifted_matrix():
+    S = raysep.solvers
+    lifted, delta = table1_lifted_system(0.0, seed=5)
+    subspace_cs(lifted, SolverConfig(residual_bound=delta))
+    first = S._path_memo(lifted.matrix)
+    assert first._sets
+    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
+    shifted = AngleGrid.uniform(-9.9, 10.1, 0.2)  # as many angles, other directions
+    for grid, focus in ((shifted, 1500.0), (lifted.grid, 1400.0)):
+        b = lifted.vector
+        a = LiftedSystem(b, lift_dictionary(build_dictionary(grid, focus, geom)), grid).matrix
+        assert a.shape == lifted.matrix.shape
+        assert S._path_memo(a) is not first
+        want = walk(reference_nonneg_path, a, b, delta)
+        assert_same_walk(walk(S._nonneg_path, a, b, delta, S._path_memo(a)), want)
+
+
+def test_caller_lifted_matrix_changed_after_a_solve_gets_the_new_answer():
+    S = raysep.solvers
+    lifted, delta = table1_lifted_system(0.0, seed=5)
+    b, grid = lifted.vector, lifted.grid
+    geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
+    source = lift_dictionary(build_dictionary(grid, 1500.0, geom))
+    before = LiftedSystem(b, source, grid)
+    assert before.matrix is not source and source.flags.writeable
+    first = subspace_cs(before, SolverConfig(residual_bound=delta))
+    source[:] = lift_dictionary(build_dictionary(grid, 1400.0, geom))
+    after = LiftedSystem(b, source, grid)
+    got = walk(S._nonneg_path, after.matrix, b, delta, S._path_memo(after.matrix))
+    assert_same_walk(got, walk(reference_nonneg_path, source, b, delta))
+    assert_same_walk(got, walk(S._nonneg_path, source, b, delta, S._PathMemo(source)))
+    assert not np.array_equal(got[0].x, first.values)
+    # the first system kept its own copy of the caller's array
+    again = subspace_cs(before, SolverConfig(residual_bound=delta))
+    assert_array_equal(again.values, first.values)
