@@ -43,7 +43,7 @@ plan = ExperimentPlan(
 print("truth angles:", np.round(np.sort(paths.angles_deg), 3))
 print(f"running {len(plan.snr_list)} SNRs x {plan.trials} trials ...")
 start = time.time()
-report = run_experiment(plan, threads=4)
+report = run_experiment(plan)
 print(f"done in {time.time()-start:.0f} s; flagged trials: {len(report.flagged_trials)}")
 
 print(f"\n{'algorithm':>14s} {'snr':>5s}  per-path rmse[deg]/detection")

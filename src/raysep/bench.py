@@ -28,7 +28,7 @@ from .solvers import (
     subspace_cs,
 )
 from .spectral import FocusingError, estimate_spectral_matrix, focus_and_smooth
-from .subspace import LiftedSystem, _owned_lift, decompose, vectorize_signal_subspace
+from .subspace import LiftedSystem, decompose, lift_dictionary, vectorize_signal_subspace
 
 __all__ = [
     "ALGORITHMS",
@@ -208,19 +208,17 @@ class EstimatorSettings:
 class _TrialData:
     """One snapshot data set plus lazily shared covariance estimates.
 
-    ``lifted_matrix`` is the lifted dictionary when a run shares one
-    between its data sets; otherwise it is lifted at the first
-    ``subspace_cs`` solve.
+    ``lifted`` is the lifted system a run shares between its data sets;
+    without one, the dictionary is lifted at the first ``subspace_cs``
+    solve.
     """
 
-    def __init__(
-        self, settings: EstimatorSettings, bins, dictionary, focus_hz, lifted_matrix=None
-    ):
+    def __init__(self, settings: EstimatorSettings, bins, dictionary, focus_hz, lifted=None):
         self.settings = settings
         self.bins = bins
         self.dictionary = dictionary
         self.focus_hz = focus_hz
-        self.lifted_matrix = lifted_matrix
+        self.lifted = lifted
         freqs = np.array([b.frequency_hz for b in bins])
         self.center = bins[int(np.argmin(np.abs(freqs - focus_hz)))]
         self.retried = set()  # algorithms whose solve was retried
@@ -243,11 +241,13 @@ class _TrialData:
         return self._smooth
 
     def lifted_system(self, decomposition):
-        if self.lifted_matrix is None:
-            self.lifted_matrix = _owned_lift(self.dictionary)
-        return LiftedSystem(
-            vectorize_signal_subspace(decomposition), self.lifted_matrix, self.dictionary.grid
-        )
+        vector = vectorize_signal_subspace(decomposition)
+        if self.lifted is None:
+            self.lifted = LiftedSystem(
+                vector, lift_dictionary(self.dictionary), self.dictionary.grid
+            )
+            return self.lifted
+        return self.lifted._with_vector(vector)
 
 
 def _with_bound(config: SolverConfig, bound: float) -> SolverConfig:
@@ -499,8 +499,11 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
     threads = min(threads, _usable_cpus())
     settings = plan.estimator_settings()
     dictionary = build_dictionary(plan.grid, plan.focus_frequency_hz, plan.geometry)
-    # one lifted matrix per run, so its nonnegative-path memo serves every cell
-    lifted = _owned_lift(dictionary) if "subspace_cs" in plan.algorithms else None
+    # one lifted system per run, so its nonnegative-path memo serves every cell
+    lifted = None
+    if "subspace_cs" in plan.algorithms:
+        m = plan.geometry.num_sensors
+        lifted = LiftedSystem(np.zeros(m * m), lift_dictionary(dictionary), dictionary.grid)
     cells = [(si, ti) for si in range(len(plan.snr_list)) for ti in range(plan.trials)]
 
     def run_cell(cell):

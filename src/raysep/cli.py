@@ -3,8 +3,9 @@
 All three subcommands read a JSON config (schema below), write their
 outputs under ``--out`` and exit with a stable code: 0 success, 2 config or
 dimension validation failure, 3 file I/O failure, 4 numerical failure.
-``--seed`` overrides the config seed; ``--threads`` (or the RAYSEP_THREADS
-environment variable) sets benchmark threads, at most one per usable CPU.
+``--seed`` overrides the config seed. ``bench`` alone takes ``--threads``
+(or the RAYSEP_THREADS environment variable): its worker threads, at most
+one per usable CPU.
 
 Config schemas (unknown keys are rejected, paths in error messages):
 
@@ -460,12 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--threads", type=int, default=_default_threads(),
-            help="worker threads (default: RAYSEP_THREADS or 1)",
-        )
         if name == "estimate":
             p.add_argument("--snapshots", required=True, help="snapshots CSV path")
+        if name == "bench":
+            p.add_argument(
+                "--threads", type=int, default=_default_threads(),
+                help="worker threads (default: RAYSEP_THREADS or 1)",
+            )
     return parser
 
 

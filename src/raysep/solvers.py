@@ -17,7 +17,8 @@ requested bound. Its end at level 0 is the nonnegative least-squares
 optimum (Lawson & Hanson 1974), so an unreachable bound is refused with a
 certified floor by the same loop. What a segment computes from the lifted
 matrix alone (the Gram, and per passive set its solve, rate and move) is
-kept in a memo that lives as long as that matrix (``_path_memo``).
+kept in a memo (``_PathMemo``) that the ``LiftedSystem`` owns, so it lives
+as long as the system and the systems made from it by ``_with_vector``.
 
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
@@ -36,7 +37,6 @@ iteration.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -45,7 +45,7 @@ import numpy as np
 from .arrays import AngleGrid, SteeringDictionary
 from .simulate import SnapshotMatrix
 from .spectral import SpectralMatrix
-from .subspace import LiftedSystem, SubspaceDecomposition, _owns_lift
+from .subspace import LiftedSystem, SubspaceDecomposition
 
 __all__ = [
     "SolverConfig",
@@ -597,29 +597,6 @@ class _PathMemo:
         return seg
 
 
-# id(lifted matrix) -> (weak reference to it, its _PathMemo); an entry goes
-# when its matrix does.
-_path_memos: dict = {}
-_path_memo_lock = threading.Lock()
-
-
-def _path_memo(a) -> _PathMemo:
-    """The path memo of lifted matrix ``a``, shared for as long as ``a`` lives.
-
-    Only a matrix the library made and holds read-only shares its memo
-    (see ``LiftedSystem``); any other gets a memo of its own for one solve.
-    """
-    if not _owns_lift(a):
-        return _PathMemo(a)
-    key = id(a)
-    with _path_memo_lock:
-        held = _path_memos.get(key)
-        if held is None or held[0]() is not a:
-            ref = weakref.ref(a, lambda _, key=key: _path_memos.pop(key, None))
-            held = _path_memos[key] = (ref, _PathMemo(a))
-    return held[1]
-
-
 def _path_direction(memo: _PathMemo, free, tied, log: _SearchLog):
     """Direction of the nonnegative lasso path just below a breakpoint.
 
@@ -915,8 +892,13 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     if data_norm <= bound:
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
 
+    # the system's path memo, shared by every system made from it by
+    # _with_vector; when two threads race to start it, setdefault keeps one
+    memo = lifted._memo.get("path")
+    if memo is None:
+        memo = lifted._memo.setdefault("path", _PathMemo(lifted.matrix))
     log = _SearchLog()
-    best = _nonneg_path(lifted.matrix, b, bound, log, _path_memo(lifted.matrix))
+    best = _nonneg_path(lifted.matrix, b, bound, log, memo)
     return _spectrum_from_result(
         grid, best.x, "subspace_cs", best, log, bound, config.inner_tol
     )

@@ -7,11 +7,15 @@ linear one: the vector is (up to path cross terms) a nonnegative combination
 of lifted dictionary columns, each the row-stacked outer product of a
 steering vector with itself. Sparse recovery on that lifted system is what
 separates arrivals closer than the classical resolution limit.
+
+A ``LiftedSystem`` holds private read-only copies of its vector and matrix,
+and owns what ``raysep.solvers.subspace_cs`` computes from the matrix alone
+(the nonnegative path's memo). Systems made from it by ``_with_vector``
+share both, which is how a benchmark run lifts once for all its cells.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,44 +114,28 @@ def lift_dictionary(dictionary: SteeringDictionary) -> np.ndarray:
     return lifted
 
 
-# Lifted matrices the library holds read-only, by id. Only these are shared
-# between lifted systems, so whatever is computed from one of them (the
-# nonnegative path's memo in ``raysep.solvers``) stays valid while it lives.
-_owned_lifts: dict = {}
+def _read_only_copy(values) -> np.ndarray:
+    """A private complex copy of ``values`` that cannot be made writable again.
 
-
-def _own(fresh: np.ndarray) -> np.ndarray:
-    """A read-only view of ``fresh``, registered as owned.
-
-    ``fresh`` owns its data and nothing else refers to it. The view cannot
-    be made writable again, since its base is read-only.
+    The copy is a read-only view of a read-only base that nothing else
+    refers to.
     """
-    fresh.setflags(write=False)
-    view = fresh.view()
-    key = id(view)
-    _owned_lifts[key] = weakref.ref(view, lambda _, key=key: _owned_lifts.pop(key, None))
-    return view
-
-
-def _owns_lift(matrix) -> bool:
-    """Whether ``matrix`` is a lifted matrix the library made and holds read-only."""
-    ref = _owned_lifts.get(id(matrix))
-    return ref is not None and ref() is matrix
-
-
-def _owned_lift(dictionary: SteeringDictionary) -> np.ndarray:
-    """``lift_dictionary``, read-only and owned, to share between lifted systems."""
-    return _own(lift_dictionary(dictionary))
+    base = np.array(values, dtype=complex, order="C")
+    base.setflags(write=False)
+    return base.view()
 
 
 @dataclass(frozen=True)
 class LiftedSystem:
     """Vectorized signal subspace paired with the lifted dictionary.
 
-    A lifted matrix the library made (``build_lifted_system``, or the
-    ``matrix`` of another lifted system) is shared as it is; any other array
-    is copied once, so later changes to the caller's array never reach the
-    system.
+    The system keeps private read-only copies of ``vector`` and ``matrix``,
+    so later changes to the caller's arrays never reach it. It also owns
+    the memo that ``raysep.solvers.subspace_cs`` fills from the matrix (the
+    nonnegative path's Gram and passive-set solves). ``_with_vector`` gives
+    the same system for another vector, sharing the matrix and the memo;
+    the constructor, a copy and an unpickled system start a memo of their
+    own.
     """
 
     vector: np.ndarray
@@ -155,15 +143,26 @@ class LiftedSystem:
     grid: AngleGrid
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        g = self.matrix
-        if not _owns_lift(g):
-            g = _own(np.array(g, dtype=complex, order="C"))
+        v = _read_only_copy(np.ravel(self.vector))
+        g = _read_only_copy(self.matrix)
         if g.ndim != 2 or g.shape[0] != v.size or g.shape[1] != len(self.grid):
             raise ValueError("lifted matrix must be len(vector) x grid size")
-        v.setflags(write=False)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "matrix", g)
+        object.__setattr__(self, "_memo", {})
+
+    def _with_vector(self, vector) -> LiftedSystem:
+        """This system for another vector; shares the matrix and the memo."""
+        v = _read_only_copy(np.ravel(vector))
+        if v.size != self.vector.size:
+            raise ValueError("lifted matrix must be len(vector) x grid size")
+        other = object.__new__(LiftedSystem)
+        other.__dict__.update(self.__dict__, vector=v)
+        return other
+
+    def __reduce__(self):
+        # rebuilt by the constructor: the memo holds a lock and stays behind
+        return LiftedSystem, (self.vector, self.matrix, self.grid)
 
 
 def build_lifted_system(
@@ -177,7 +176,7 @@ def build_lifted_system(
         )
     return LiftedSystem(
         vector=vectorize_signal_subspace(decomposition),
-        matrix=_owned_lift(dictionary),
+        matrix=lift_dictionary(dictionary),
         grid=dictionary.grid,
     )
 

@@ -236,7 +236,7 @@ def test_criterion_06_rmse_ranking():
         algorithms=("subspace_cs", "reweighted_cs", "music"),
         seed=106,
     )
-    report = run_experiment(plan, threads=4)
+    report = run_experiment(plan)
 
     compared = 0
     lines = []

@@ -1,5 +1,6 @@
 import gc
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import raysep.bench
-import raysep.solvers
 import raysep.subspace
 from raysep import (
     AngleGrid,
@@ -396,29 +396,37 @@ def test_solver_outcomes_count_retries_and_zero_spectra_without_flagging():
 
 def test_a_run_lifts_once_and_its_path_memo_ends_with_it(monkeypatch):
     geom, paths, grid = table1_fixture()
-    lifts, memos = [], []
-    lift, memo_of = raysep.subspace.lift_dictionary, raysep.solvers._path_memo
+    lifts, built, solved = [], [], []
+    lift, post_init = raysep.bench.lift_dictionary, raysep.subspace.LiftedSystem.__post_init__
+    solve = raysep.bench.subspace_cs
 
     def counted_lift(dictionary):
         lifts.append(dictionary)
         return lift(dictionary)
 
-    def recorded_memo(matrix):
-        memos.append(memo_of(matrix))
-        return memos[-1]
+    def counted_post_init(system):
+        built.append(system)
+        post_init(system)
 
-    monkeypatch.setattr(raysep.subspace, "lift_dictionary", counted_lift)
-    monkeypatch.setattr(raysep.solvers, "_path_memo", recorded_memo)
-    gc.collect()
-    held = set(raysep.solvers._path_memos)
+    def recorded_solve(lifted, config=None):
+        solved.append(lifted)
+        return solve(lifted, config)
+
+    monkeypatch.setattr(raysep.bench, "lift_dictionary", counted_lift)
+    monkeypatch.setattr(raysep.subspace.LiftedSystem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(raysep.bench, "subspace_cs", recorded_solve)
     small = dict(paths=paths, geometry=geom, grid=grid, snr_list=(20.0,), trials=2,
                  num_bins=4, num_snapshots=30, seed=3)
     run_experiment(ExperimentPlan(algorithms=("music", "cbf"), **small))
-    assert lifts == [] and memos == []
-    run_experiment(ExperimentPlan(algorithms=("subspace_cs", "cbf"), **small))
-    assert len(lifts) == 1
+    assert lifts == [] and built == []
+    report = run_experiment(ExperimentPlan(algorithms=("subspace_cs", "cbf"), **small))
+    assert len(lifts) == 1 and len(built) == 1
     # two cells, each refused and retried: one memo serves all four solves
-    assert len(memos) == 4 and all(m is memos[0] for m in memos)
-    del memos[:]
+    assert report.solver_outcomes[("subspace_cs", 20.0)]["retried"] == 2
+    assert len(solved) == 4
+    memo = solved[0]._memo["path"]
+    assert all(s._memo["path"] is memo and s.matrix is built[0].matrix for s in solved)
+    memo_ref = weakref.ref(memo)
+    del memo, solved[:], built[:]
     gc.collect()
-    assert set(raysep.solvers._path_memos) == held
+    assert memo_ref() is None  # it ended with the run

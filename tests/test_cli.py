@@ -261,6 +261,20 @@ def test_threads_env_fallback(monkeypatch):
     assert args.threads == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "x", "--out", "y"],
+    ["estimate", "--config", "x", "--snapshots", "s", "--out", "y"],
+])
+def test_threads_flag_is_for_bench_only(command, capsys):
+    from raysep.cli import build_parser
+
+    assert not hasattr(build_parser().parse_args(command), "threads")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
 def test_provenance_headers_present(tmp_path):
     cfg = write_config(tmp_path / "sim.json", simulate_config())
     out = tmp_path / "out"

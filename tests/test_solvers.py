@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -958,38 +960,72 @@ def test_shared_path_memo_keeps_its_bound_and_results_under_threads(monkeypatch)
     assert max(sizes) == 2
 
 
+def path_memo(lifted: LiftedSystem):
+    """The nonnegative-path memo ``subspace_cs`` keeps on ``lifted`` (None before a solve)."""
+    return lifted._memo.get("path")
+
+
 def test_path_memo_lives_as_long_as_its_lifted_matrix():
-    S = raysep.solvers
     lifted, delta = table1_lifted_system(0.0, seed=5)
-    subspace_cs(lifted, SolverConfig(residual_bound=delta))
-    memo = S._path_memos[id(lifted.matrix)][1]
-    assert memo._sets
-    # a system built on the same lifted matrix shares its memo
-    other = LiftedSystem(2.0 * lifted.vector, lifted.matrix, lifted.grid)
-    assert other.matrix is lifted.matrix
-    assert S._path_memo(other.matrix) is memo
-    matrix_ref, memo_ref, key = weakref.ref(lifted.matrix), weakref.ref(memo), id(lifted.matrix)
-    del lifted, other, memo
+    other = lifted._with_vector(2.0 * lifted.vector)
+    assert other.matrix is lifted.matrix and other.grid is lifted.grid
+    assert path_memo(lifted) is None
+    subspace_cs(other, SolverConfig(residual_bound=2.0 * delta))
+    memo = path_memo(lifted)
+    assert memo is not None and memo._sets
+    got = subspace_cs(lifted, SolverConfig(residual_bound=delta))
+    assert path_memo(lifted) is memo and path_memo(other) is memo
+    # a system built by the constructor, even from the same arrays, never shares it
+    fresh = LiftedSystem(lifted.vector, lifted.matrix, lifted.grid)
+    assert fresh.matrix is not lifted.matrix
+    want = subspace_cs(fresh, SolverConfig(residual_bound=delta))
+    assert path_memo(fresh) is not memo
+    assert_array_equal(got.values, want.values)
+    assert got.diagnostics() == want.diagnostics()
+    matrix_ref, memo_ref = weakref.ref(lifted.matrix), weakref.ref(memo)
+    del lifted, memo
+    gc.collect()
+    assert memo_ref() is not None  # ``other`` still holds it
+    del other
     gc.collect()
     assert matrix_ref() is None and memo_ref() is None
-    assert key not in S._path_memos
+
+
+def test_systems_first_solved_on_threads_share_one_path_memo():
+    lifted, delta = table1_lifted_system(0.0, seed=5)
+    cfg = SolverConfig(residual_bound=delta)
+    want = subspace_cs(LiftedSystem(lifted.vector, lifted.matrix, lifted.grid), cfg)
+    systems = [lifted._with_vector(lifted.vector) for _ in range(16)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(subspace_cs, s, cfg) for s in systems]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for got in results:
+        assert_array_equal(got.values, want.values)
+        assert got.diagnostics() == want.diagnostics()
+    assert all(path_memo(s) is path_memo(lifted) for s in systems)
 
 
 def test_path_memo_never_serves_another_lifted_matrix():
     S = raysep.solvers
     lifted, delta = table1_lifted_system(0.0, seed=5)
     subspace_cs(lifted, SolverConfig(residual_bound=delta))
-    first = S._path_memo(lifted.matrix)
+    first = path_memo(lifted)
     assert first._sets
     geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
     shifted = AngleGrid.uniform(-9.9, 10.1, 0.2)  # as many angles, other directions
     for grid, focus in ((shifted, 1500.0), (lifted.grid, 1400.0)):
         b = lifted.vector
-        a = LiftedSystem(b, lift_dictionary(build_dictionary(grid, focus, geom)), grid).matrix
-        assert a.shape == lifted.matrix.shape
-        assert S._path_memo(a) is not first
-        want = walk(reference_nonneg_path, a, b, delta)
-        assert_same_walk(walk(S._nonneg_path, a, b, delta, S._path_memo(a)), want)
+        system = LiftedSystem(b, lift_dictionary(build_dictionary(grid, focus, geom)), grid)
+        assert system.matrix.shape == lifted.matrix.shape
+        subspace_cs(system, SolverConfig(residual_bound=delta))
+        assert path_memo(system) is not first
+        want = walk(reference_nonneg_path, system.matrix, b, delta)
+        assert_same_walk(walk(S._nonneg_path, system.matrix, b, delta, path_memo(system)), want)
 
 
 def test_caller_lifted_matrix_changed_after_a_solve_gets_the_new_answer():
@@ -1003,10 +1039,52 @@ def test_caller_lifted_matrix_changed_after_a_solve_gets_the_new_answer():
     first = subspace_cs(before, SolverConfig(residual_bound=delta))
     source[:] = lift_dictionary(build_dictionary(grid, 1400.0, geom))
     after = LiftedSystem(b, source, grid)
-    got = walk(S._nonneg_path, after.matrix, b, delta, S._path_memo(after.matrix))
+    second = subspace_cs(after, SolverConfig(residual_bound=delta))
+    got = walk(S._nonneg_path, after.matrix, b, delta, path_memo(after))
     assert_same_walk(got, walk(reference_nonneg_path, source, b, delta))
-    assert_same_walk(got, walk(S._nonneg_path, source, b, delta, S._PathMemo(source)))
-    assert not np.array_equal(got[0].x, first.values)
-    # the first system kept its own copy of the caller's array
+    assert_array_equal(second.values, got[0].x)
+    assert not np.array_equal(second.values, first.values)
+    # the first system kept its own copy of the caller's array, and its memo
     again = subspace_cs(before, SolverConfig(residual_bound=delta))
     assert_array_equal(again.values, first.values)
+
+
+def test_caller_vector_changed_after_building_never_reaches_the_system():
+    _, grid, d = small_dictionary()
+    matrix = lift_dictionary(d)
+    cfg = SolverConfig(inner_tol=1e-8, inner_max_iters=4000)
+    vector = matrix[:, [5, 12]] @ np.array([1.0, 2.0])
+    system = LiftedSystem(vector, matrix, grid)
+    first = subspace_cs(system, cfg)
+    assert np.flatnonzero(first.values > 1e-5 * first.values.max()).tolist() == [5, 12]
+    vector[:] = matrix[:, 3]
+    again = subspace_cs(system, cfg)
+    assert_array_equal(again.values, first.values)
+    assert again.diagnostics() == first.diagnostics()
+
+
+@pytest.mark.parametrize("duplicate", ["pickle", "deepcopy", "copy"])
+def test_solved_lifted_system_pickles_and_copies_to_the_same_spectrum(duplicate):
+    lifted, delta = table1_lifted_system(5.0, seed=5)
+    system = lifted._with_vector(lifted.vector)
+    cfg = SolverConfig(residual_bound=delta)
+    with pytest.raises(SolverInfeasibleError) as exc:
+        subspace_cs(system, cfg)
+    cfg = SolverConfig(residual_bound=1.1 * exc.value.min_residual)
+    want = subspace_cs(system, cfg)
+    assert path_memo(system) is not None
+    twin = {
+        "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+    }[duplicate](system)
+    # the copy is a new system with a memo of its own
+    assert path_memo(twin) is None and twin.matrix is not system.matrix
+    assert_array_equal(twin.vector, system.vector)
+    assert_array_equal(twin.matrix, system.matrix)
+    assert_array_equal(twin.grid.angles_deg, system.grid.angles_deg)
+    assert not twin.vector.flags.writeable and not twin.matrix.flags.writeable
+    got = subspace_cs(twin, cfg)
+    assert_array_equal(got.values, want.values)
+    assert got.diagnostics() == want.diagnostics()
+    assert path_memo(twin) is not path_memo(system)

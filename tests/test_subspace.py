@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from raysep import (
+    LiftedSystem,
     SpectralMatrix,
     build_dictionary,
     build_lifted_system,
@@ -145,6 +146,20 @@ def test_single_path_lift_consistency():
     dec = decompose(r, 1)
     lifted = build_lifted_system(dec, d)
     assert_allclose(lifted.vector, power * lifted.matrix[:, qstar], atol=1e-9 * power)
+
+
+def test_lifted_system_arrays_stay_read_only_and_private():
+    _, grid, d = lifted_fixture()
+    vector, matrix = np.ones(d.num_sensors**2, dtype=complex), lift_dictionary(d)
+    lifted = LiftedSystem(vector, matrix, grid)
+    for system in (lifted, lifted._with_vector(vector)):
+        for arr in (system.vector, system.matrix):
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+        assert not np.shares_memory(system.vector, vector)
+        assert not np.shares_memory(system.matrix, matrix)
+    with pytest.raises(ValueError, match="len\\(vector\\)"):
+        lifted._with_vector(np.ones(5))
 
 
 def test_random_lifted_column_subsets_independent():
