@@ -25,6 +25,16 @@ __all__ = [
 ]
 
 
+def _read_only_copy(values, dtype) -> np.ndarray:
+    """A private C-contiguous copy of ``values`` that can never be made writable.
+
+    The copy lies on an immutable ``bytes`` buffer that nothing else refers
+    to, so neither it nor its base accepts ``setflags(write=True)``.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    return np.frombuffer(arr.tobytes(), dtype=dtype).reshape(arr.shape)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform vertical line array.
@@ -62,7 +72,11 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class AngleGrid:
-    """Strictly increasing grid of candidate arrival angles in degrees."""
+    """Strictly increasing grid of candidate arrival angles in degrees.
+
+    The grid keeps a private read-only copy of the angles. Two grids are
+    equal, and hash alike, when their angles are the same bytes.
+    """
 
     angles_deg: np.ndarray
 
@@ -74,8 +88,15 @@ class AngleGrid:
             raise ValueError("grid angles must lie in [-90, 90] degrees")
         if np.any(np.diff(angles) <= 0):
             raise ValueError("grid angles must be strictly increasing")
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles_deg", angles)
+        object.__setattr__(self, "angles_deg", _read_only_copy(angles, float))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AngleGrid):
+            return NotImplemented
+        return self.angles_deg.tobytes() == other.angles_deg.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.angles_deg.tobytes())
 
     @classmethod
     def uniform(cls, start_deg: float, stop_deg: float, step_deg: float) -> "AngleGrid":
@@ -107,7 +128,8 @@ class SteeringDictionary:
     """Over-complete dictionary of steering vectors over an angle grid.
 
     ``matrix`` has one unit-modulus column per grid angle; the row of the
-    reference sensor is all ones.
+    reference sensor is all ones. The dictionary keeps a private read-only
+    copy of it.
     """
 
     frequency_hz: float
@@ -118,9 +140,7 @@ class SteeringDictionary:
         m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[1] != len(self.grid):
             raise ValueError("dictionary matrix must be num_sensors x grid size")
-        m = np.ascontiguousarray(m, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only_copy(m, complex))
 
     @property
     def num_sensors(self) -> int:
@@ -132,7 +152,10 @@ class SteeringDictionary:
 
 @dataclass(frozen=True)
 class RaypathSet:
-    """Ground-truth arrivals: angle, complex amplitude and reference-sensor delay."""
+    """Ground-truth arrivals: angle, complex amplitude and reference-sensor delay.
+
+    The set keeps private read-only copies of the three arrays.
+    """
 
     angles_deg: np.ndarray
     amplitudes: np.ndarray
@@ -149,8 +172,7 @@ class RaypathSet:
         if np.unique(angles).size != angles.size:
             raise ValueError("raypath angles must be pairwise distinct")
         for name, arr in (("angles_deg", angles), ("amplitudes", amps), ("delays_s", delays)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only_copy(arr, arr.dtype))
 
     @property
     def num_paths(self) -> int:

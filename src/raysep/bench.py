@@ -489,10 +489,11 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
         threads: Worker threads, at most one per usable CPU. A plan
             without sparse solvers neither gains nor loses reliably from a
             second thread (on the benchmark's 64-bin smoothed MUSIC/CBF plan
-            on a 2-core VM, four runs gave medians of 89-97 cells/s on one
-            thread and 87-95 on two, faster on two in two of the runs). The
-            sparse solvers hold the interpreter lock, so a plan that runs
-            them slows (75 -> 67 and 87 -> 60 cells/s). Trials are
+            on a 2-core VM, four runs gave medians of 80-98 cells/s on one
+            thread and 88-97 on two, faster on two in three of the runs).
+            The sparse solvers hold the interpreter lock, so a plan that
+            runs them slows (the benchmark's subspace_cs/MUSIC/CBF plan:
+            92 -> 82 and 100 -> 76 cells/s in two runs). Trials are
             independent and report assembly is ordered, so the thread count
             never changes results.
     """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, RaypathSet, _plane_wave_phase
+from .arrays import ArrayGeometry, RaypathSet, _plane_wave_phase, _read_only_copy
 
 __all__ = [
     "WaveguideScenario",
@@ -38,6 +38,8 @@ class WaveguideScenario:
             the water column.
         sound_speed_mps: Constant propagation speed.
         num_paths: Number of eigenrays to keep.
+
+    The scenario keeps a private read-only copy of the receiver depths.
     """
 
     water_depth_m: float
@@ -57,8 +59,7 @@ class WaveguideScenario:
             raise ValueError("receiver depths must lie strictly inside the water column")
         if self.num_paths < 1:
             raise ValueError("num_paths must be at least 1")
-        depths.setflags(write=False)
-        object.__setattr__(self, "receiver_depths_m", depths)
+        object.__setattr__(self, "receiver_depths_m", _read_only_copy(depths, float))
 
     def array_geometry(self, reference_index: int = 0) -> ArrayGeometry:
         """Derive the uniform-array geometry implied by the receiver depths."""

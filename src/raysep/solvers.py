@@ -19,6 +19,10 @@ certified floor by the same loop. What a segment computes from the lifted
 matrix alone (the Gram, and per passive set its solve, rate and move) is
 kept in a memo (``_PathMemo``) that the ``LiftedSystem`` owns, so it lives
 as long as the system and the systems made from it by ``_with_vector``.
+The walk itself depends on the bound only through its stop test, so the
+system keeps that too (``_PathWalk``): a later solve at another bound,
+such as a retry at 1.1 x a refused bound's floor, reads the breakpoints
+already passed and walks on only past them.
 
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
@@ -36,6 +40,7 @@ iteration.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -545,12 +550,17 @@ def _continue_penalty(
 
 
 class _Segment:
-    """Passive set P's solve z of G_PP z = 1, its rate 1 - G[:, P] z and its move a[:, P] z."""
+    """Passive set P's solve z of G_PP z = 1, its rate 1 - G[:, P] z and its move a[:, P] z.
 
-    __slots__ = ("z", "rate", "_move")
+    ``nonpos`` is the mask z <= 0, or None when every entry of z is positive.
+    """
+
+    __slots__ = ("z", "rate", "nonpos", "_move")
 
     def __init__(self, z, rate):
         self.z, self.rate, self._move = z, rate, None
+        nonpos = z <= 0.0
+        self.nonpos = _read_only(nonpos) if nonpos.any() else None
 
     def move(self, a, idx) -> np.ndarray:
         """a[:, idx] @ z, formed the first time a segment ends on P."""
@@ -597,6 +607,12 @@ class _PathMemo:
         return seg
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D complex vector, computed as numpy computes it."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _path_direction(memo: _PathMemo, free, tied, log: _SearchLog):
     """Direction of the nonnegative lasso path just below a breakpoint.
 
@@ -612,20 +628,21 @@ def _path_direction(memo: _PathMemo, free, tied, log: _SearchLog):
     ``log.iterations``, found or solved.
 
     Returns:
-        The direction d, its passive set, and the memo's segment of that
-        set when d is its solve (None for an empty set or a spent budget).
+        The direction d, its passive set as a mask and as sorted indices,
+        and the memo's segment of that set when d is its solve (None for an
+        empty set or a spent budget).
     """
     passive, admissible, d = free.copy(), tied.copy(), np.zeros(free.size)
     j = -1
     for _ in range(3 * free.size):
-        idx = np.flatnonzero(passive)
+        idx = passive.nonzero()[0]
         seg = None
         if idx.size:
             seg = memo.segment(idx)
             z = seg.z
             log.iterations += 1
-            neg = tied[idx] & (z <= 0.0)
-            if neg.any():
+            neg = None if seg.nonpos is None else tied[idx] & seg.nonpos
+            if neg is not None and neg.any():
                 # step back to where the first tied entry reaches zero
                 cur = d[idx[neg]]
                 ratios = cur / np.maximum(cur - z[neg], _TINY)
@@ -639,87 +656,181 @@ def _path_direction(memo: _PathMemo, free, tied, log: _SearchLog):
                     admissible[j] = False
                 continue
             d[idx] = z
-        rate = seg.rate if idx.size else 1.0  # 1 - G d with d = 0
-        growth = np.where(admissible & ~passive, rate, -np.inf)
-        j = int(np.argmax(growth))
-        if growth[j] <= _ADMIT_TOL:
-            return d, passive, seg
+        # the candidate whose correlation outgrows the level fastest, at the
+        # rate 1 - G d (1 with d = 0); the first of equals
+        candidates = (admissible & ~passive).nonzero()[0]
+        if not candidates.size:
+            return d, passive, idx, seg
+        j = 0
+        if idx.size:
+            growth = seg.rate[candidates]
+            j = int(growth.argmax())
+            if growth[j] <= _ADMIT_TOL:
+                return d, passive, idx, seg
+        j = int(candidates[j])
         passive[j] = True
-    return d, passive, None
+    return d, passive, passive.nonzero()[0], None
 
 
-def _nonneg_path(a, b, bound: float, log: _SearchLog, memo: _PathMemo) -> _InnerResult:
+class _Breakpoint:
+    """Where a segment of the path starts, and what its stop test needs.
+
+    ``x`` and ``lam`` are the solution and level at the start, ``r`` the
+    residual there and ``residual`` its norm; the segment moves x[idx] by
+    s * d and r by -s * u for s up to ``t``. ``solves`` and ``peak`` are the
+    walk's passive-set solves and largest passive set through the segment.
+    """
+
+    __slots__ = ("x", "lam", "residual", "r", "idx", "d", "t", "u", "solves", "peak")
+
+    def __init__(self, x, lam, residual, r, idx, d, t, u, solves, peak):
+        self.x, self.lam, self.residual, self.r = x, lam, residual, r
+        self.idx, self.d, self.t, self.u = idx, d, t, u
+        self.solves, self.peak = solves, peak
+
+
+class _PathWalk:
+    """The nonnegative lasso path of one matrix and vector, as far as it has gone.
+
+    Nothing a segment computes depends on the residual bound; only the stop
+    test ||r - t u|| <= aim does. So the walk keeps every breakpoint it has
+    passed (``breaks``, ``history``) with its stop-test norm (``stops``),
+    and the state at the next one (``x``, ``lam``, ``event``). A solve at
+    any bound scans the kept norms and walks on only past the last of them;
+    what it returns is what a fresh walk to that bound returns. One lock
+    serializes the solves that share the walk.
+    """
+
+    def __init__(self, a, b, memo: _PathMemo):
+        self.a, self.b, self.memo = a, b, memo
+        self.c = (a.conj().T @ b).real
+        self.lam_max = float(np.max(self.c))
+        self.tie = _TIE_REL * max(self.lam_max, _TINY)
+        self.cap = _PATH_SEGMENTS_PER_ATOM * self.c.size
+        self.x, self.lam, self.event = np.zeros(self.c.size), self.lam_max, -1
+        self.breaks, self.history, self.stops = [], [], []
+        self.log = _SearchLog()
+        self.lock = threading.Lock()
+
+    def stop_for(self, aim: float):
+        """Index of the first breakpoint whose segment reaches ``aim``.
+
+        Walks on past the kept breakpoints only if none does; None if the
+        path ends first.
+        """
+        for k, norm in enumerate(self.stops):
+            if norm <= aim:
+                return k
+        while self.lam > 0.0 and len(self.breaks) < self.cap:
+            if self._step() <= aim:
+                return len(self.breaks) - 1
+        return None
+
+    def _step(self) -> float:
+        """Walk the segment from the next breakpoint; returns its stop-test norm.
+
+        At the breakpoint ``_path_direction`` gives the segment, which ends
+        where a positive entry reaches zero, an inactive correlation
+        c - G x reaches the level, or the level reaches zero.
+        """
+        a, gram, c, log = self.a, self.memo.gram, self.c, self.log
+        x, lam = self.x, self.lam
+        pos = x > 0.0
+        on = pos.nonzero()[0]
+        x_on = x[on]
+        r = self.b - a[:, on] @ x_on
+        residual = _norm(r)
+        grad = c - gram[:, on] @ x_on
+        self.history.append(0.5 * residual**2 + lam * float(x.sum()))
+        tied = (x == 0.0) & (grad >= lam - self.tie)
+        if self.event >= 0:
+            tied[self.event] = True  # the entry that ended the last segment
+        d, passive, idx, seg = _path_direction(self.memo, pos, tied, log)
+        log.inner_solves += 1
+        log.peak_support = max(log.peak_support, int(idx.size))
+        d = d[idx]
+        ratios = np.full(c.size, np.inf)
+        down = d < 0.0
+        falling = idx[down]
+        if falling.size:
+            ratios[falling] = x[falling] / -d[down]
+        slope = seg.rate if seg is not None else 1.0 - gram[:, idx] @ d
+        rising = ~(passive | tied) & (slope > 0.0)
+        np.divide(lam - grad, slope, out=ratios, where=rising)
+        event = int(ratios.argmin())
+        t = min(float(ratios[event]), lam)
+        u = seg.move(a, idx) if seg is not None else a[:, idx] @ d
+        self.breaks.append(
+            _Breakpoint(x, lam, residual, r, idx, d, t, u, log.iterations, log.peak_support)
+        )
+        stop = _norm(r - t * u)
+        self.stops.append(stop)
+        x = x.copy()
+        x[idx] = np.maximum(x[idx] + t * d, 0.0)
+        if t < lam:
+            x[event] = 0.0
+        self.x, self.lam, self.event = x, lam - t if t < lam else 0.0, event
+        return stop
+
+
+def _nonneg_path(
+    a, b, bound: float, log: _SearchLog, memo: _PathMemo, walk: _PathWalk | None = None
+) -> _InnerResult:
     """Nonnegative lasso homotopy down to ``_PATH_AIM * bound``.
 
     The solution of min 0.5 ||b - a p||^2 + lam * sum(p) over real p >= 0
     is piecewise linear in lam (Osborne, Presnell & Turlach 2000). The path
     runs in the Gram domain, G = Re(aᴴa) and c = Re(aᴴb), from p = 0 at
-    lam = max(c) down to lam = 0. At each breakpoint ``_path_direction``
-    gives the next segment, which ends where a positive entry reaches zero,
-    an inactive correlation c - G p reaches the level, or the level reaches
-    zero. The residual stays in the data domain: along a segment it is
-    r - t a d, so the point where its norm reaches the aim is the smaller
-    root of a quadratic.
+    lam = max(c) down to lam = 0, segment by segment (``_PathWalk``). The
+    residual stays in the data domain: along a segment it is r - t a d, so
+    the point where its norm reaches the aim is the smaller root of a
+    quadratic.
 
     The end at lam = 0 is the nonnegative least-squares optimum (Lawson &
     Hanson 1974), the smallest residual any p >= 0 reaches; it is returned
     when it is within ``bound``. ``memo``, the path memo of ``a``, holds
     the Gram and each segment's part that does not depend on ``b``.
+    ``walk``, if given, is the walk of ``a`` and ``b`` kept from earlier
+    solves; it is read and extended, and the result is what a fresh walk
+    gives.
 
     Raises:
         SolverInfeasibleError: If the path ends above ``bound``, with that
             end's residual as ``min_residual``.
     """
-    gram, c = memo.gram, (a.conj().T @ b).real
-    lam_max = lam = float(np.max(c))
-    tie = _TIE_REL * max(lam_max, _TINY)
+    if walk is None:
+        walk = _PathWalk(a, b, memo)
     aim = _PATH_AIM * bound
-    x = np.zeros(c.size)
-    history, segments, event = [], 0, -1
-    while lam > 0.0 and segments < _PATH_SEGMENTS_PER_ATOM * c.size:
-        segments += 1
-        on = np.flatnonzero(x > 0.0)
-        r = b - a[:, on] @ x[on]
-        residual = float(np.linalg.norm(r))
-        grad = c - gram[:, on] @ x[on]
-        history.append(0.5 * residual**2 + lam * float(np.sum(x)))
-        tied = (x == 0.0) & (grad >= lam - tie)
-        if event >= 0:
-            tied[event] = True  # the entry that ended the last segment
-        d, passive, seg = _path_direction(memo, x > 0.0, tied, log)
-        idx = np.flatnonzero(passive)
-        log.inner_solves += 1
-        log.peak_support = max(log.peak_support, int(idx.size))
-        ratios = np.full(c.size, np.inf)
-        falling = idx[d[idx] < 0.0]
-        ratios[falling] = x[falling] / -d[falling]
-        slope = seg.rate if seg is not None else 1.0 - gram[:, idx] @ d[idx]
-        rising = ~passive & ~tied & (slope > 0.0)
-        ratios[rising] = (lam - grad[rising]) / slope[rising]
-        event = int(np.argmin(ratios))
-        t = min(float(ratios[event]), lam)
-        u = seg.move(a, idx) if seg is not None else a[:, idx] @ d[idx]
-        if np.linalg.norm(r - t * u) <= aim:
-            # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation
-            gap = residual**2 - aim**2
-            ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
-            s = min(gap / (ru + np.sqrt(max(ru * ru - uu * gap, 0.0))), t)
-            x[idx] += s * d[idx]
-            lam -= s
-            break
-        x[idx] = np.maximum(x[idx] + t * d[idx], 0.0)
-        if t < lam:
-            x[event] = 0.0
-        lam = lam - t if t < lam else 0.0
+    with walk.lock:
+        k = walk.stop_for(aim)
+        if k is None:
+            brk, x, lam, segments = None, walk.x.copy(), walk.lam, len(walk.breaks)
+            solves, peak = walk.log.iterations, walk.log.peak_support
+        else:
+            brk, segments = walk.breaks[k], k + 1
+            solves, peak = brk.solves, brk.peak
+        history = walk.history[:segments]
+    log.iterations += solves
+    log.inner_solves += segments
+    log.peak_support = max(log.peak_support, peak)
+    if brk is not None:
+        # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation
+        r, u = brk.r, brk.u
+        gap = brk.residual**2 - aim**2
+        ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
+        s = min(gap / (ru + np.sqrt(max(ru * ru - uu * gap, 0.0))), brk.t)
+        x = brk.x.copy()
+        x[brk.idx] += s * brk.d
+        lam = brk.lam - s
 
     on = np.flatnonzero(x > 0.0)
     residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
     if lam <= 0.0 and residual > bound:
         raise _unreachable(bound, residual)
     history.append(0.5 * residual**2 + lam * float(np.sum(x)))
-    grad = c - gram[:, on] @ x[on]
+    grad = walk.c - memo.gram[:, on] @ x[on]
     excess = np.where(x > 0.0, np.abs(grad - lam), np.maximum(grad - lam, 0.0))
-    kkt = float(np.max(excess)) / (lam if lam > 0.0 else lam_max)
+    kkt = float(np.max(excess)) / (lam if lam > 0.0 else walk.lam_max)
     return _InnerResult(x, residual, kkt, segments, history)
 
 
@@ -874,6 +985,10 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     sits at. When the nonnegative least-squares floor, the end of the path,
     lies between that and the bound, the floor's solution is returned.
 
+    ``lifted`` keeps the walk, so a later solve of the same system at any
+    bound reads it and walks on only past its last breakpoint; the
+    spectrum, or the refusal, is the one a fresh walk gives.
+
     Args:
         lifted: Vectorized signal subspace and lifted dictionary.
         config: Tolerances; ``residual_bound`` is the covariance-domain
@@ -893,12 +1008,16 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
 
     # the system's path memo, shared by every system made from it by
-    # _with_vector; when two threads race to start it, setdefault keeps one
+    # _with_vector, and its own walk; when two threads race to start
+    # either, setdefault keeps one
     memo = lifted._memo.get("path")
     if memo is None:
         memo = lifted._memo.setdefault("path", _PathMemo(lifted.matrix))
+    walk = lifted._kept.get("walk")
+    if walk is None:
+        walk = lifted._kept.setdefault("walk", _PathWalk(lifted.matrix, b, memo))
     log = _SearchLog()
-    best = _nonneg_path(lifted.matrix, b, bound, log, memo)
+    best = _nonneg_path(lifted.matrix, b, bound, log, memo, walk)
     return _spectrum_from_result(
         grid, best.x, "subspace_cs", best, log, bound, config.inner_tol
     )

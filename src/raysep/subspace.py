@@ -9,9 +9,10 @@ steering vector with itself. Sparse recovery on that lifted system is what
 separates arrivals closer than the classical resolution limit.
 
 A ``LiftedSystem`` holds private read-only copies of its vector and matrix,
-and owns what ``raysep.solvers.subspace_cs`` computes from the matrix alone
-(the nonnegative path's memo). Systems made from it by ``_with_vector``
-share both, which is how a benchmark run lifts once for all its cells.
+and owns what ``raysep.solvers.subspace_cs`` computes from them: from the
+matrix alone the nonnegative path's memo, which systems made from it by
+``_with_vector`` share (so a benchmark run lifts once for all its cells),
+and from the pair the path walk, which is its own.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngleGrid, SteeringDictionary
+from .arrays import AngleGrid, SteeringDictionary, _read_only_copy
 from .spectral import SpectralMatrix
 
 __all__ = [
@@ -114,28 +115,19 @@ def lift_dictionary(dictionary: SteeringDictionary) -> np.ndarray:
     return lifted
 
 
-def _read_only_copy(values) -> np.ndarray:
-    """A private complex copy of ``values`` that cannot be made writable again.
-
-    The copy is a read-only view of a read-only base that nothing else
-    refers to.
-    """
-    base = np.array(values, dtype=complex, order="C")
-    base.setflags(write=False)
-    return base.view()
-
-
 @dataclass(frozen=True)
 class LiftedSystem:
     """Vectorized signal subspace paired with the lifted dictionary.
 
-    The system keeps private read-only copies of ``vector`` and ``matrix``,
-    so later changes to the caller's arrays never reach it. It also owns
-    the memo that ``raysep.solvers.subspace_cs`` fills from the matrix (the
-    nonnegative path's Gram and passive-set solves). ``_with_vector`` gives
-    the same system for another vector, sharing the matrix and the memo;
-    the constructor, a copy and an unpickled system start a memo of their
-    own.
+    The system keeps private copies of ``vector`` and ``matrix`` on
+    immutable buffers, so later changes to the caller's arrays never reach
+    it and nothing can make its own writable. It also owns what
+    ``raysep.solvers.subspace_cs`` keeps of its solves: the memo it fills
+    from the matrix (the nonnegative path's Gram and passive-set solves),
+    and the path walk of this vector, which a solve at another bound reads
+    instead of walking again. ``_with_vector`` gives the same system for
+    another vector, sharing the matrix and the memo but not the walk; the
+    constructor, a copy and an unpickled system start both afresh.
     """
 
     vector: np.ndarray
@@ -143,25 +135,26 @@ class LiftedSystem:
     grid: AngleGrid
 
     def __post_init__(self):
-        v = _read_only_copy(np.ravel(self.vector))
-        g = _read_only_copy(self.matrix)
+        v = _read_only_copy(np.ravel(self.vector), complex)
+        g = _read_only_copy(self.matrix, complex)
         if g.ndim != 2 or g.shape[0] != v.size or g.shape[1] != len(self.grid):
             raise ValueError("lifted matrix must be len(vector) x grid size")
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_kept", {})
 
     def _with_vector(self, vector) -> LiftedSystem:
-        """This system for another vector; shares the matrix and the memo."""
-        v = _read_only_copy(np.ravel(vector))
+        """This system for another vector; shares the matrix and the memo, not the walk."""
+        v = _read_only_copy(np.ravel(vector), complex)
         if v.size != self.vector.size:
             raise ValueError("lifted matrix must be len(vector) x grid size")
         other = object.__new__(LiftedSystem)
-        other.__dict__.update(self.__dict__, vector=v)
+        other.__dict__.update(self.__dict__, vector=v, _kept={})
         return other
 
     def __reduce__(self):
-        # rebuilt by the constructor: the memo holds a lock and stays behind
+        # rebuilt by the constructor: the memo and the walk hold locks and stay behind
         return LiftedSystem, (self.vector, self.matrix, self.grid)
 
 

@@ -1,8 +1,19 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from raysep import AngleGrid, ArrayGeometry, RaypathSet, build_dictionary, default_grid, steering_vector
+from raysep import (
+    AngleGrid,
+    ArrayGeometry,
+    RaypathSet,
+    SteeringDictionary,
+    build_dictionary,
+    default_grid,
+    steering_vector,
+)
 
 
 def table_geometry():
@@ -121,3 +132,47 @@ def test_raypath_set_validation():
         RaypathSet([1.0, 2.0], [1.0], [0.0, 0.0])  # length mismatch
     paths = RaypathSet([1.0, 2.0], [1.0, -1.0], [0.0, 0.001])
     assert paths.num_paths == 2
+
+
+def assert_private_and_immutable(kept: np.ndarray, source: np.ndarray):
+    """``kept`` shares no memory with ``source``, and nothing makes it writable."""
+    assert not np.shares_memory(kept, source)
+    base = kept
+    while isinstance(base, np.ndarray):
+        with pytest.raises(ValueError):
+            base.setflags(write=True)
+        base = base.base
+
+
+def test_value_types_keep_private_read_only_copies():
+    angles = np.linspace(-10.0, 10.0, 21)
+    grid = AngleGrid(angles)
+    matrix = np.exp(1j * np.outer(np.arange(3), np.arange(21.0)))
+    dictionary = SteeringDictionary(frequency_hz=1500.0, matrix=matrix, grid=grid)
+    path_angles, amps, delays = np.array([-3.0, 4.0]), np.array([1.0, 0.5j]), np.array([0.1, 0.2])
+    paths = RaypathSet(path_angles, amps, delays)
+    pairs = [
+        (grid.angles_deg, angles),
+        (dictionary.matrix, matrix),
+        (paths.angles_deg, path_angles),
+        (paths.amplitudes, amps),
+        (paths.delays_s, delays),
+    ]
+    for kept, source in pairs:
+        before = kept.copy()
+        assert_private_and_immutable(kept, source)
+        source.setflags(write=True)
+        source[0] = -9.99
+        assert_array_equal(kept, before)
+
+
+def test_angle_grid_compares_and_hashes_by_its_angles():
+    grid = AngleGrid.uniform(-10.0, 10.0, 0.2)
+    for twin in (copy.deepcopy(grid), copy.copy(grid), pickle.loads(pickle.dumps(grid)),
+                 AngleGrid(np.array(grid.angles_deg))):
+        assert twin == grid and not twin != grid
+        assert hash(twin) == hash(grid)
+    assert grid != AngleGrid.uniform(-9.9, 10.1, 0.2)
+    assert grid != AngleGrid.uniform(-10.0, 10.0, 0.5)
+    assert grid != grid.angles_deg.tolist()
+    assert len({grid, copy.deepcopy(grid), AngleGrid.uniform(-10.0, 10.0, 0.5)}) == 2

@@ -353,16 +353,20 @@ def test_subspace_retry_solves_at_the_certified_floor():
     retried = raysep.bench._run_algorithm(data, "subspace_cs")
     assert data.retried == {"subspace_cs"}
 
+    # the retry reads the refused walk; compare it with a walk of its own
     dec = decompose(data.smoothed_covariance(), 5)
-    lifted = build_lifted_system(dec, dictionary)
     bound = choose_delta(dec, 5, factor=settings.delta_factor)
     with pytest.raises(SolverInfeasibleError) as exc:
-        subspace_cs(lifted, replace(settings.solver, residual_bound=bound))
+        subspace_cs(
+            build_lifted_system(dec, dictionary), replace(settings.solver, residual_bound=bound)
+        )
     direct = subspace_cs(
-        lifted, replace(settings.solver, residual_bound=1.1 * exc.value.min_residual)
+        build_lifted_system(dec, dictionary),
+        replace(settings.solver, residual_bound=1.1 * exc.value.min_residual),
     )
     assert_array_equal(retried.values, direct.values)
     assert retried.diagnostics() == direct.diagnostics()
+    assert_array_equal(retried.objective_history, direct.objective_history)
 
     # without the retry the refusal propagates; the CLI reports its message
     strict = raysep.bench._TrialData(

@@ -69,6 +69,20 @@ def test_scenario_validation():
         WaveguideScenario(-1.0, 2000.0, 20.0, np.array([50.0]), num_paths=1)
 
 
+def test_scenario_keeps_a_private_read_only_copy_of_the_depths():
+    depths = 37.5 + 2.5 * np.arange(11)
+    sc = WaveguideScenario(100.0, 2000.0, 50.0, depths, num_paths=3)
+    assert not np.shares_memory(sc.receiver_depths_m, depths)
+    base = sc.receiver_depths_m
+    while isinstance(base, np.ndarray):
+        with pytest.raises(ValueError):
+            base.setflags(write=True)
+        base = base.base
+    depths[0] = 99.0
+    assert sc.receiver_depths_m[0] == 37.5
+    assert sc.array_geometry().spacing_m == 2.5
+
+
 def test_array_geometry_from_scenario():
     geom = scenario().array_geometry()
     assert geom.num_sensors == 3

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import pickle
@@ -1088,3 +1089,134 @@ def test_solved_lifted_system_pickles_and_copies_to_the_same_spectrum(duplicate)
     assert_array_equal(got.values, want.values)
     assert got.diagnostics() == want.diagnostics()
     assert path_memo(twin) is not path_memo(system)
+
+
+def kept_walk(lifted: LiftedSystem):
+    """The path walk ``subspace_cs`` keeps on ``lifted`` (None before a solve)."""
+    return lifted._kept.get("walk")
+
+
+def solve_or_refusal(lifted: LiftedSystem, bound: float):
+    """The spectrum of ``subspace_cs`` at ``bound``, or the refusal's min_residual."""
+    try:
+        return subspace_cs(lifted, SolverConfig(residual_bound=bound))
+    except SolverInfeasibleError as exc:
+        return exc.min_residual
+
+
+def assert_same_spectrum(got, want):
+    """Field-for-field equality of two spectra, or of two refusals' floors."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got == want
+        return
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype
+            assert_array_equal(g, w)
+        else:
+            assert g == w, f.name
+
+
+def build_lifted_system_like(lifted: LiftedSystem) -> LiftedSystem:
+    """A system of the same arrays that shares nothing with ``lifted``."""
+    return LiftedSystem(np.array(lifted.vector), np.array(lifted.matrix), lifted.grid)
+
+
+def kept_walk_bounds(lifted: LiftedSystem, delta: float) -> list:
+    """Bounds from loose to refused on one Table-1 system, tightest last.
+
+    They span the whole path: a bound the zero spectrum meets, levels that
+    stop early and late on it, 1.1 x the nonnegative least-squares floor
+    (the bench's retry), and the noise-floor allowance, which is refused.
+    """
+    floor = walk(reference_nonneg_path, lifted.matrix, lifted.vector, delta)[0]
+    assert isinstance(floor, float)
+    data_norm = float(np.linalg.norm(lifted.vector))
+    return [1.01 * data_norm, 0.6 * data_norm, 0.2 * data_norm, 2.0 * floor, 1.1 * floor, delta]
+
+
+def test_kept_walk_matches_a_fresh_walk_at_every_bound_in_any_order():
+    S = raysep.solvers
+    lifted, delta = table1_lifted_system(5.0, seed=5)
+    a, b = lifted.matrix, lifted.vector
+    descending = kept_walk_bounds(lifted, delta)[1:]
+    ascending = descending[::-1]
+    repeated = [descending[3], descending[3], descending[0], descending[3], descending[4]]
+    memo = S._PathMemo(a)
+    for order in (descending, ascending, repeated):
+        kept = S._PathWalk(a, b, memo)
+        for bound in order:
+            want = walk(reference_nonneg_path, a, b, bound)
+            assert_same_walk(walk(S._nonneg_path, a, b, bound, memo, kept), want)
+    # the same orders through subspace_cs on one system, against a fresh system per bound
+    for order in (descending, ascending, repeated):
+        system = lifted._with_vector(b)
+        for bound in [kept_walk_bounds(lifted, delta)[0]] + order:
+            got = solve_or_refusal(system, bound)
+            assert_same_spectrum(got, solve_or_refusal(build_lifted_system_like(lifted), bound))
+            if not isinstance(got, float):
+                got.values[:] = np.nan  # a caller's edit never reaches the kept walk
+        assert kept_walk(system) is not None
+
+
+def test_kept_walk_that_ended_at_the_segment_cap_matches_a_fresh_walk(monkeypatch):
+    S = raysep.solvers
+    lifted, _ = table1_lifted_system(20.0, seed=7)
+    a, b = lifted.matrix, lifted.vector
+    data_norm = float(np.linalg.norm(b))
+    # a 6-segment cap: 0.9 ||b|| stops on segment 5, 0.6 ||b|| (segment 9
+    # uncapped) and the exact-fit limit end at the cap with lam > 0
+    monkeypatch.setattr(S, "_PATH_SEGMENTS_PER_ATOM", 6 / len(lifted.grid))
+    early, late, tiny = 0.9 * data_norm, 0.6 * data_norm, 1e-9 * data_norm
+    wants = {bound: walk(reference_nonneg_path, a, b, bound) for bound in (early, late, tiny)}
+    assert wants[early][0].iterations == 5
+    for bound in (late, tiny):
+        assert wants[bound][0].iterations == 6 and wants[bound][0].residual > bound
+    memo = S._PathMemo(a)
+    for order in ((tiny, early, late, tiny), (early, late, early, tiny)):
+        kept = S._PathWalk(a, b, memo)
+        for bound in order:
+            got = walk(S._nonneg_path, a, b, bound, memo, kept)
+            assert_same_walk(got, wants[bound])
+            got[0].x[:] = np.nan  # a caller's edit never reaches the kept walk
+        assert len(kept.breaks) == 6
+
+
+def test_two_threads_on_one_system_give_the_serial_results():
+    lifted, delta = table1_lifted_system(5.0, seed=5)
+    bounds = kept_walk_bounds(lifted, delta)
+    bounds = (bounds[::-1] + bounds) * 2
+    wants = [solve_or_refusal(build_lifted_system_like(lifted), bound) for bound in bounds]
+    system = lifted._with_vector(lifted.vector)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(solve_or_refusal, system, bound) for bound in bounds]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for got, want in zip(results, wants):
+        assert_same_spectrum(got, want)
+    assert kept_walk(system) is not None
+
+
+@pytest.mark.parametrize("make", ["with_vector", "pickle", "deepcopy", "copy"])
+def test_systems_made_from_a_solved_system_start_without_its_walk(make):
+    lifted, delta = table1_lifted_system(5.0, seed=5)
+    system = lifted._with_vector(lifted.vector)
+    bound = kept_walk_bounds(system, delta)[4]  # 1.1 x floor
+    want = solve_or_refusal(system, bound)
+    walked = kept_walk(system)
+    assert walked is not None and walked.breaks
+    twin = {
+        "with_vector": lambda s: s._with_vector(s.vector),
+        "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+    }[make](system)
+    assert kept_walk(twin) is None
+    assert_same_spectrum(solve_or_refusal(twin, bound), want)
+    assert kept_walk(twin) is not walked and kept_walk(system) is walked

@@ -162,6 +162,38 @@ def test_lifted_system_arrays_stay_read_only_and_private():
         lifted._with_vector(np.ones(5))
 
 
+def test_lifted_system_arrays_lie_on_buffers_that_stay_immutable():
+    import raysep.solvers as S
+
+    _, grid, d = lifted_fixture()
+    matrix = lift_dictionary(d)
+    vector = matrix[:, [40, 47]] @ np.array([1.0, 0.5]) + 0.01 * matrix[:, 90]
+    lifted = LiftedSystem(vector, matrix, grid)
+    for system in (lifted, lifted._with_vector(vector)):
+        for arr in (system.vector, system.matrix):
+            assert arr.flags.c_contiguous and arr.flags.aligned
+            base = arr
+            while isinstance(base, np.ndarray):
+                with pytest.raises(ValueError):
+                    base.setflags(write=True)
+                base = base.base
+            assert isinstance(base, bytes)
+    # solves on the immutable buffers match solves on ordinary numpy arrays
+    bound = 0.05 * float(np.linalg.norm(vector))
+    spec = S.subspace_cs(lifted, S.SolverConfig(residual_bound=bound))
+    plain_matrix = np.array(lifted.matrix)
+    plain_vector = np.array(lifted.vector)
+    assert plain_matrix.flags.writeable and plain_matrix.base is None
+    log = S._SearchLog()
+    want = S._nonneg_path(plain_matrix, plain_vector, bound, log, S._PathMemo(plain_matrix))
+    assert_array_equal(spec.values, want.x)
+    assert spec.residual == want.residual
+    assert_array_equal(spec.objective_history, want.objective_history)
+    assert (spec.iterations, spec.inner_solves, spec.peak_support) == (
+        log.iterations, log.inner_solves, log.peak_support
+    )
+
+
 def test_random_lifted_column_subsets_independent():
     _, grid, d = lifted_fixture()
     lifted = lift_dictionary(d)
