@@ -487,10 +487,11 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
     Args:
         plan: Sweep description.
         threads: Worker threads, at most one per usable CPU. A plan
-            without sparse solvers neither gains nor loses reliably from a
-            second thread (on the benchmark's 64-bin smoothed MUSIC/CBF plan
-            on a 2-core VM, four runs gave medians of 80-98 cells/s on one
-            thread and 88-97 on two, faster on two in three of the runs).
+            without sparse solvers gains from a second thread, because its
+            synthesis makes a few long numpy calls per cell that run
+            without the interpreter lock (on the benchmark's 64-bin
+            smoothed MUSIC/CBF plan on a 2-core VM, four runs of 6 s gave
+            medians of 95-100 cells/s on one thread and 125-137 on two).
             The sparse solvers hold the interpreter lock, so a plan that
             runs them slows (the benchmark's subspace_cs/MUSIC/CBF plan:
             92 -> 82 and 100 -> 76 cells/s in two runs). Trials are

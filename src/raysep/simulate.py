@@ -90,7 +90,9 @@ class SnapshotMatrix:
 
     ``noise_power`` records the per-sample complex noise variance the
     simulator actually used (0 for noise-free data); estimators may use it
-    to size residual bounds.
+    to size residual bounds. The matrix keeps a private read-only copy of
+    ``data``; the bins that ``synthesize_broadband`` returns are instead
+    read-only views into blocks that only those bins refer to.
     """
 
     data: np.ndarray
@@ -103,9 +105,20 @@ class SnapshotMatrix:
             raise ValueError("snapshot data must be a 2-D array with >= 1 column")
         if not np.all(np.isfinite(d.view(float))):
             raise ValueError("snapshot data must be finite")
-        d = np.ascontiguousarray(d, dtype=complex)
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "data", _read_only_copy(d, complex))
+
+    @classmethod
+    def _of_read_only(cls, data: np.ndarray, frequency_hz: float, noise_power: float):
+        """Wrap ``data`` as it is, with neither a check nor a copy.
+
+        ``data`` must already be a finite, read-only, C-contiguous complex
+        (M, L) array that nothing else writes to.
+        """
+        snap = object.__new__(cls)
+        object.__setattr__(snap, "data", data)
+        object.__setattr__(snap, "frequency_hz", frequency_hz)
+        object.__setattr__(snap, "noise_power", noise_power)
+        return snap
 
     @property
     def num_sensors(self) -> int:
@@ -115,6 +128,14 @@ class SnapshotMatrix:
     def num_snapshots(self) -> int:
         return self.data.shape[1]
 
+
+# Bins per synthesis block: as many as fit in 96 KiB of complex output, and
+# at least one (3 bins at M = 11, L = 150). A block and its noise draw stay
+# under glibc's default 128 KiB mmap threshold, so they come from the heap
+# and freeing them never raises that threshold; and a cell makes a few long
+# numpy calls, which run without the interpreter lock, instead of many
+# short ones per bin.
+_BLOCK_BYTES = 96 * 1024
 
 # Reflections beyond this order carry no energy worth modeling; it also
 # bounds how many eigenrays a scenario can request.
@@ -210,6 +231,21 @@ def _amplitude_draws(
     return base * (np.sqrt(rho) * common[None, :] + np.sqrt(1.0 - rho) * own)
 
 
+def _add_noise(x: np.ndarray, scale: float, rng: np.random.Generator) -> None:
+    """Add ``scale`` times complex standard normal noise to the block ``x`` in place.
+
+    One draw of shape (bins, 2, M, L) takes each bin's real block, then its
+    imaginary block: the stream of a real and then an imaginary draw per
+    bin. Adding the scaled parts in place gives the bits of adding ``scale
+    * (re + 1j * im)``, short of the sign of a zero where a scaled draw is
+    exactly zero, without a complex buffer.
+    """
+    n = rng.standard_normal((len(x), 2) + x.shape[1:])
+    n *= scale
+    x.real += n[:, 0]
+    x.imag += n[:, 1]
+
+
 def synthesize_broadband(
     paths: RaypathSet,
     band_hz: tuple[float, float],
@@ -229,7 +265,9 @@ def synthesize_broadband(
     scaled so the in-band array SNR matches ``noise.snr_db``.
 
     Returns:
-        One SnapshotMatrix per bin, in increasing frequency order.
+        One SnapshotMatrix per bin, in increasing frequency order. Bins are
+        formed in blocks of consecutive bins, and each bin's data is a
+        read-only view into its block.
     """
     lo, hi = float(band_hz[0]), float(band_hz[1])
     if num_bins < 1:
@@ -252,33 +290,44 @@ def synthesize_broadband(
     amps = _amplitude_draws(paths, num_snapshots, coherence, rng)
 
     # Steering (B, M, P) and delay phases (B, P) in one broadcast each, with
-    # the per-vector formula. The signals, their power and the noise stay
-    # bin by bin: a (B, M, L) stack and its (B, P, L) product operand are
-    # single blocks far above glibc's 128 KB mmap threshold, freeing one
-    # raises that threshold, later mid-size solver arrays then stay on the
-    # heap, and a Table-1 sweep's peak RSS grew by about 0.5 MB.
+    # the per-vector formula; then the signals, block by block.
     m = np.arange(geometry.num_sensors) - geometry.reference_index
     phase = _plane_wave_phase(angles, freqs[:, None], geometry)
     steering = np.exp(1j * phase[:, None, :] * m[:, None])
     delay_phase = np.exp(-2j * np.pi * freqs[:, None] * paths.delays_s)
-    x = [g @ (d[:, None] * amps) for g, d in zip(steering, delay_phase)]
+    size = max(1, _BLOCK_BYTES // (geometry.num_sensors * num_snapshots * 16))
+    starts = range(0, num_bins, size)
+    blocks = [
+        steering[k : k + size] @ (delay_phase[k : k + size, :, None] * amps)
+        for k in starts
+    ]
+    del steering  # not held beside the noise draws
 
     if np.isinf(noise.snr_db):
         sigma2 = 0.0
     else:
-        signal_power = float(np.mean([np.mean(np.abs(xb) ** 2) for xb in x]))
-        sigma2 = signal_power * 10.0 ** (-noise.snr_db / 10.0)
+        # Each bin's mean power over its own contiguous row, then the mean
+        # over bins, as the per-bin means would be summed.
+        power = np.empty(num_bins)
+        for k, x in zip(starts, blocks):
+            p = np.abs(x)
+            np.square(p, out=p)
+            power[k : k + len(x)] = p.reshape(len(x), -1).mean(axis=1)
+        sigma2 = float(np.mean(power)) * 10.0 ** (-noise.snr_db / 10.0)
 
-    if sigma2 > 0.0:
-        # Real block then imaginary block, bin by bin: the stream order is
-        # fixed and only one bin's draw is held at a time.
-        for xb in x:
-            n = rng.standard_normal(xb.shape) + 1j * rng.standard_normal(xb.shape)
-            xb += np.sqrt(sigma2 / 2.0) * n
-    return [
-        SnapshotMatrix(data=xb, frequency_hz=float(f), noise_power=sigma2)
-        for f, xb in zip(freqs, x)
-    ]
+    scale = np.sqrt(sigma2 / 2.0)
+    out = []
+    for k, x in zip(starts, blocks):
+        if sigma2 > 0.0:
+            _add_noise(x, scale, rng)
+        if not np.all(np.isfinite(x.view(float))):
+            raise ValueError("snapshot data must be finite")
+        x.setflags(write=False)
+        out.extend(
+            SnapshotMatrix._of_read_only(xb, float(f), sigma2)
+            for xb, f in zip(x, freqs[k : k + len(x)])
+        )
+    return out
 
 
 def synthesize_snapshots(

@@ -317,13 +317,22 @@ def _cd_sweep(a, a_h, r, x, order, lam_rows, col_norms_sq) -> float:
     coordinate's threshold. Each update is a soft threshold of the
     coordinate's correlation, written out inline: the per-coordinate cost is
     numpy call overhead, not arithmetic.
+
+    A row that is zero when the pass starts changes only at its own visit.
+    While its correlation stays within its threshold, its update moves it
+    by exactly zero, so the update is skipped.
     """
     absolute, maximum, tiny = np.abs, np.maximum, _TINY
+    norms, lams = col_norms_sq.tolist(), lam_rows.tolist()
+    was_zero = (~x.any(axis=1))[order].tolist()
     max_step = 0.0
-    for q in order:
-        norm_q, lam_q = col_norms_sq[q], lam_rows[q]
+    for q, zero in zip(order, was_zero):
+        norm_q, lam_q = norms[q], lams[q]
+        corr = a_h[q] @ r
+        if zero and absolute(corr).max() <= lam_q:
+            continue
         x_q = x[q]
-        u = a_h[q] @ r + norm_q * x_q
+        u = corr + norm_q * x_q
         mag = absolute(u)
         xq_new = u * (maximum(mag - lam_q, 0.0) / maximum(mag, tiny)) / norm_q
         delta = xq_new - x_q

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, build_dictionary
+from .arrays import AngleGrid, ArrayGeometry, _read_only_copy, build_dictionary
 from .simulate import SnapshotMatrix
 
 __all__ = [
@@ -41,7 +41,10 @@ class FocusingError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Hermitian positive-semidefinite covariance estimate."""
+    """Hermitian positive-semidefinite covariance estimate.
+
+    The matrix keeps a private read-only copy of ``matrix``.
+    """
 
     matrix: np.ndarray
     num_snapshots: int
@@ -52,9 +55,7 @@ class SpectralMatrix:
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("spectral matrix must be square")
         _check_hermitian_psd(r)
-        r = np.ascontiguousarray(r, dtype=complex)
-        r.setflags(write=False)
-        object.__setattr__(self, "matrix", r)
+        object.__setattr__(self, "matrix", _read_only_copy(r, complex))
 
     @property
     def num_sensors(self) -> int:

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import raysep.bench
+import raysep.simulate
 import raysep.subspace
 from raysep import (
     AngleGrid,
@@ -336,6 +337,24 @@ def table1_fixture():
         num_paths=5,
     )
     return geom, eigenray_angles(scenario), AngleGrid.uniform(-10.0, 10.0, 0.2)
+
+
+def test_thread_count_does_not_change_a_multi_block_front_end_plan():
+    # The benchmark's front-end cell: 64 bins of 150 snapshots, synthesized
+    # in several blocks per cell, with smoothed MUSIC and CBF.
+    geom, paths, grid = table1_fixture()
+    plan = ExperimentPlan(
+        paths=paths, geometry=geom, grid=grid,
+        snr_list=(-5.0, 10.0), trials=2, algorithms=("music", "cbf"),
+        seed=11, band_hz=(1000.0, 2000.0), num_bins=64, num_snapshots=150,
+        coherence=0.5, music_smoothing=True,
+    )
+    per_bin = geom.num_sensors * plan.num_snapshots * 16
+    assert raysep.simulate._BLOCK_BYTES // per_bin < plan.num_bins
+    serial = run_experiment(plan, threads=1)
+    parallel = run_experiment(plan, threads=2)
+    assert parallel.to_json_dict() == serial.to_json_dict()
+    assert serial.flagged_trials == ()
 
 
 def test_subspace_retry_solves_at_the_certified_floor():

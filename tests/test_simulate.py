@@ -9,6 +9,7 @@ from raysep import (
     ArrayGeometry,
     NoiseSpec,
     RaypathSet,
+    SnapshotMatrix,
     WaveguideScenario,
     eigenray_angles,
     estimate_spectral_matrix,
@@ -81,6 +82,20 @@ def test_scenario_keeps_a_private_read_only_copy_of_the_depths():
     depths[0] = 99.0
     assert sc.receiver_depths_m[0] == 37.5
     assert sc.array_geometry().spacing_m == 2.5
+
+
+def test_snapshot_matrix_keeps_a_private_read_only_copy():
+    data = np.ones((3, 2), dtype=complex)
+    snap = SnapshotMatrix(data, 1000.0)
+    assert not np.shares_memory(snap.data, data)
+    base = snap.data
+    while isinstance(base, np.ndarray):
+        with pytest.raises(ValueError):
+            base.setflags(write=True)
+        base = base.base
+    data.setflags(write=True)
+    data[0, 0] = 5.0
+    assert_array_equal(snap.data, np.ones((3, 2)))
 
 
 def test_array_geometry_from_scenario():
@@ -237,14 +252,26 @@ def reference_synthesize_broadband(
     return out
 
 
-@pytest.mark.parametrize("num_bins", [1, 3, 32])
+def bins_per_block(num_sensors, num_snapshots):
+    return max(1, raysep.simulate._BLOCK_BYTES // (num_sensors * num_snapshots * 16))
+
+
+@pytest.mark.parametrize("num_bins", [1, 3, 32, 7, 64])
 @pytest.mark.parametrize("snr_db", [-5.0, 20.0, np.inf])
 @pytest.mark.parametrize("coherence", ["coherent", "incoherent", 0.5])
 def test_broadband_matches_the_per_bin_loop_bit_for_bit(
     coherence, snr_db, num_bins, five_path_fan
 ):
     geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
-    args = (five_path_fan, (1000.0, 2000.0), num_bins, 40, NoiseSpec(snr_db, 811), geom, coherence)
+    num_snapshots = 150 if num_bins in (7, 64) else 40
+    if num_bins > 3:
+        # several blocks, and the last one is shorter than the others
+        assert 1 < bins_per_block(11, num_snapshots) < num_bins
+        assert num_bins % bins_per_block(11, num_snapshots) != 0
+    args = (
+        five_path_fan, (1000.0, 2000.0), num_bins, num_snapshots, NoiseSpec(snr_db, 811), geom,
+        coherence,
+    )
     got = synthesize_broadband(*args)
     want = reference_synthesize_broadband(*args)
     assert len(got) == len(want) == num_bins
@@ -255,14 +282,18 @@ def test_broadband_matches_the_per_bin_loop_bit_for_bit(
         assert not snap.data.flags.writeable
 
 
-def test_broadband_draws_noise_one_bin_at_a_time(five_path_fan):
-    # Noise is drawn bin by bin into the output: the peak is 1.6x the
-    # output's bytes here. One draw for every bin gives the same stream but
-    # holds a draw the size of the output beside it: 2.5x, or 3.6x when the
-    # complex noise is formed for all bins at once.
+def test_broadband_draws_noise_one_block_at_a_time(five_path_fan):
+    # Bins are synthesized in blocks of a few bins, and each block's noise
+    # is drawn into it in place: at most a block's draw and a few small
+    # arrays are held beside the output. One draw for every bin gives the
+    # same stream but holds a draw the size of the output beside it: 2.5x
+    # the output's bytes, or 3.6x when the complex noise is formed for all
+    # bins at once.
     geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
     args = (five_path_fan, (1000.0, 2000.0), 64, 150, NoiseSpec(0.0, 5), geom, 0.5)
     output_bytes = 64 * 11 * 150 * 16
+    assert bins_per_block(11, 150) < 64
+    synthesize_broadband(*args)  # the first call imports numpy.random
     tracemalloc.start()
     try:
         bins = synthesize_broadband(*args)
@@ -271,3 +302,4 @@ def test_broadband_draws_noise_one_bin_at_a_time(five_path_fan):
         tracemalloc.stop()
     assert len(bins) == 64
     assert peak < 2.0 * output_bytes
+    assert peak - output_bytes < 2 * raysep.simulate._BLOCK_BYTES

@@ -696,6 +696,46 @@ def test_cd_sweep_matches_the_plain_loop_bit_for_bit(num_snapshots, noise_seed):
         assert step_lean == step_ref
 
 
+@pytest.mark.parametrize("num_snapshots, noise_seed", [(20, 3), (1, 5)])
+def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
+    num_snapshots, noise_seed
+):
+    # Warm starts as a working set makes them: sweeps over the five most
+    # correlated rows leave the other rows zero. Over all rows, at unequal
+    # thresholds, some zero rows enter and the others stay zero, and the
+    # lean sweep skips their update.
+    d, snap = table1_scene(num_snapshots, noise_seed)
+    a, b = d.matrix, snap.data
+    a_h = a.conj().T.copy()
+    norms = np.sum(np.abs(a) ** 2, axis=0)
+    corr = np.max(np.abs(a_h @ b), axis=1)
+    lam_max = float(corr.max())
+    x0 = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
+    r0 = b.copy()
+    start = sorted(np.argsort(-corr)[:5].tolist())
+    for _ in range(3):
+        raysep.solvers._cd_sweep(a, a_h, r0, x0, start, np.full(a.shape[1], 0.3 * lam_max), norms)
+    zero0 = ~np.any(x0 != 0, axis=1)
+    assert 0 < np.count_nonzero(~zero0) <= 5
+    order = list(range(a.shape[1]))
+    weights = np.random.default_rng(noise_seed).uniform(0.5, 2.0, a.shape[1])
+    entered = stayed = 0
+    for scale in (0.5, 0.2, 0.05):
+        lam_rows = scale * lam_max * weights
+        x_lean, r_lean = x0.copy(), r0.copy()
+        x_ref, r_ref = x0.copy(), r0.copy()
+        for _ in range(3):
+            step_lean = raysep.solvers._cd_sweep(a, a_h, r_lean, x_lean, order, lam_rows, norms)
+            step_ref = reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
+            np.testing.assert_array_equal(x_lean, x_ref)
+            np.testing.assert_array_equal(r_lean, r_ref)
+            assert step_lean == step_ref
+        nonzero = np.any(x_lean != 0, axis=1)
+        entered += np.count_nonzero(zero0 & nonzero)
+        stayed += np.count_nonzero(zero0 & ~nonzero)
+    assert entered > 0 and stayed > 0
+
+
 def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
     # A coherent five-path Table-1 style snapshot at 0 dB with the bench's
     # noise-norm bound: the solve continues the penalty toward the bound and

@@ -81,6 +81,20 @@ def test_hermitian_and_psd_invariants_enforced():
         SpectralMatrix(not_psd, 1, 1500.0)
 
 
+def test_spectral_matrix_keeps_a_private_read_only_copy():
+    matrix = np.eye(3, dtype=complex)
+    spectral = SpectralMatrix(matrix, 1, 1500.0)
+    assert not np.shares_memory(spectral.matrix, matrix)
+    base = spectral.matrix
+    while isinstance(base, np.ndarray):
+        with pytest.raises(ValueError):
+            base.setflags(write=True)
+        base = base.base
+    matrix.setflags(write=True)
+    matrix[0, 0] = 5.0
+    assert_array_equal(spectral.matrix, np.eye(3))
+
+
 def test_stacked_checks_judge_each_matrix_on_its_own_scale():
     # A non-Hermitian or indefinite matrix is refused next to one 1e12 times
     # larger, with the message SpectralMatrix gives for it alone.
