@@ -123,7 +123,7 @@ def default_grid() -> AngleGrid:
     return AngleGrid.uniform(-90.0, 90.0, 0.2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringDictionary:
     """Over-complete dictionary of steering vectors over an angle grid.
 
@@ -150,7 +150,7 @@ class SteeringDictionary:
         return self.matrix[:, q]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaypathSet:
     """Ground-truth arrivals: angle, complex amplitude and reference-sensor delay.
 

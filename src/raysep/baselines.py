@@ -19,7 +19,7 @@ __all__ = ["PseudoSpectrum", "music_spectrum", "cbf_spectrum"]
 _MUSIC_REGULARIZER_SCALE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoSpectrum:
     """Nonnegative spectrum over an angle grid with an algorithm tag."""
 

@@ -102,7 +102,7 @@ def _match_peaks(peaks: np.ndarray, truth: np.ndarray, window_deg: float):
     return errors, false_alarms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathScores:
     """Per-path RMSE statistics over a set of trials."""
 
@@ -385,7 +385,7 @@ class ReportEntry:
     trials_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmseReport:
     """Sweep results: per-(algorithm, SNR, path) rows plus per-trial detail."""
 

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveguideScenario:
     """Isovelocity waveguide geometry for eigenray generation.
 
@@ -84,7 +84,7 @@ class NoiseSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotMatrix:
     """Complex frequency-domain observations, one column per snapshot.
 

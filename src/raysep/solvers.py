@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,7 +82,7 @@ _TIE_REL = 1e-15
 _ADMIT_TOL = 1e-10
 _PATH_SEGMENTS_PER_ATOM = 10
 # Passive sets whose segment solves the path memo of one lifted matrix keeps.
-_PATH_MEMO_SETS = 128
+_PATH_MEMO_SETS = 1024
 _TINY = np.finfo(float).tiny
 
 
@@ -130,7 +129,7 @@ class SolverConfig:
             raise ValueError("tolerances and iteration caps must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSpectrum:
     """Recovered angle spectrum plus solver diagnostics."""
 
@@ -220,11 +219,12 @@ def _polish_complex(
     step stacks the running columns by live support size k and, per size,
     forms their k x k systems with one stacked product and solves them with
     one stacked call; the re-admission correlations of every column that
-    finished a pass come from one more product. The stacked products round
-    exactly as one-column products do, so a column's result does not
-    depend on which other columns are polished with it. Columns with fewer
-    than two live entries are returned unchanged (a lone coordinate is
-    already solved exactly by its update).
+    finished a pass come from one more product, and their phases from one
+    vectorized ``np.abs``. Every size, one included, takes these same stacked
+    forms, and each member of a stack is its own product, so a column's
+    result does not depend on which other columns are polished with it.
+    Columns with fewer than two live entries are returned unchanged (a lone
+    coordinate is already solved exactly by its update).
 
     Args:
         a_sub: Working-set dictionary columns, shape (M, n).
@@ -255,12 +255,7 @@ def _polish_complex(
             asub = a_sub[:, idx].transpose(1, 0, 2)  # asub[g] == a_sub[:, idx[g]]
             asub_h = asub.conj().transpose(0, 2, 1)
             b_cols = b[:, cols].T
-            if k == 1:
-                # a one-entry product is a BLAS dot, whose rounding depends on
-                # the stride of the snapshot column: take it from b in place
-                proj = np.array([a_sub[:, q].conj().T @ b[:, c] for q, c in zip(idx, cols)])
-            else:
-                proj = (asub_h @ b_cols[..., None])[..., 0]
+            proj = (asub_h @ b_cols[..., None])[..., 0]
             z = _solve_stack(asub_h @ asub, proj - lam_sub[idx] * ph)
             crossing = (z.conj() * ph).real
             bad = (crossing <= 0).any(axis=1)
@@ -269,10 +264,8 @@ def _polish_complex(
                 pruned = cols[bad]
                 alive[pruned, idx[bad, crossing[bad].argmin(axis=1)]] = False
                 live[pruned] -= 1
-                if k == 1:
-                    out[pruned] = 0
-                else:
-                    keep.append(pruned)
+                out[pruned[live[pruned] == 0]] = 0
+                keep.append(pruned[live[pruned] > 0])
                 ok = ~bad
                 cols, idx, ph, asub, b_cols, z = (
                     cols[ok], idx[ok], ph[ok], asub[ok], b_cols[ok], z[ok]
@@ -296,12 +289,8 @@ def _polish_complex(
             back, entry = cols[readmit], worst[readmit]
             alive[back, entry] = True
             live[back] += 1
-            # scalar abs, not numpy's vectorized one: the two can differ in the
-            # last bit, and on a rank-deficient support one bit changes the
-            # polished column
-            phases[back, entry] = [
-                c / max(abs(c), _TINY) for c in corr[rows[readmit], entry]
-            ]
+            c = corr[rows[readmit], entry]
+            phases[back, entry] = c / np.maximum(np.abs(c), _TINY)
             passes[cols] += 1
             more = readmit | ~(np.concatenate(moved) < 1e-13)
             keep.append(cols[more & (passes[cols] < _POLISH_PASSES)])
@@ -589,15 +578,17 @@ class _PathMemo:
     The real Gram G = Re(aᴴa) is formed once. A segment on passive set P
     solves G_PP z = 1, and its correlations change at the rate 1 - G[:, P] z;
     neither depends on the data, so both are kept, with the segment's move
-    a[:, P] z in the data domain, for the last ``_PATH_MEMO_SETS`` sets
-    used, keyed by the sorted indices of P. Every array is what the
-    unmemoized expression gives on the same inputs, and is read-only.
+    a[:, P] z in the data domain, for the first ``_PATH_MEMO_SETS`` sets
+    visited, keyed by the sorted indices of P. A set visited once the memo
+    is full is solved afresh each time and not kept; nothing is evicted.
+    Every array is what the unmemoized expression gives on the same inputs,
+    and is read-only.
     """
 
     def __init__(self, a):
         a_h = a.conj().T
         self.gram = _read_only(np.ascontiguousarray((a_h @ a).real))
-        self._sets: OrderedDict = OrderedDict()
+        self._sets: dict = {}
         self._lock = threading.Lock()
 
     def segment(self, idx) -> _Segment:
@@ -608,11 +599,8 @@ class _PathMemo:
                 gram = self.gram
                 z = _solve_psd(gram[np.ix_(idx, idx)], np.ones(idx.size))
                 seg = _Segment(_read_only(z), _read_only(1.0 - gram[:, idx] @ z))
-                self._sets[key] = seg
-                if len(self._sets) > _PATH_MEMO_SETS:
-                    self._sets.popitem(last=False)
-            else:
-                self._sets.move_to_end(key)
+                if len(self._sets) < _PATH_MEMO_SETS:
+                    self._sets[key] = seg
         return seg
 
 
@@ -823,11 +811,14 @@ def _nonneg_path(
     log.inner_solves += segments
     log.peak_support = max(log.peak_support, peak)
     if brk is not None:
-        # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation
+        # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation:
+        # the discriminant ru^2 - uu * gap is uu * (aim^2 - p^2), with p the
+        # part of r orthogonal to u, which stays accurate near exact fit
         r, u = brk.r, brk.u
         gap = brk.residual**2 - aim**2
         ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
-        s = min(gap / (ru + np.sqrt(max(ru * ru - uu * gap, 0.0))), brk.t)
+        p = _norm(r - (ru / uu) * u)
+        s = min(gap / (ru + np.sqrt(max(uu * (aim - p) * (aim + p), 0.0))), brk.t)
         x = brk.x.copy()
         x[brk.idx] += s * brk.d
         lam = brk.lam - s

@@ -39,7 +39,7 @@ class FocusingError(RuntimeError):
     """Raised when a focusing transform cannot be determined reliably."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMatrix:
     """Hermitian positive-semidefinite covariance estimate.
 

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceDecomposition:
     """Eigendecomposition with a designated signal-subspace dimension.
 
@@ -115,7 +115,7 @@ def lift_dictionary(dictionary: SteeringDictionary) -> np.ndarray:
     return lifted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedSystem:
     """Vectorized signal subspace paired with the lifted dictionary.
 

@@ -1,4 +1,6 @@
+import copy
 import gc
+import math
 import os
 import weakref
 from dataclasses import replace
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import raysep.bench
 import raysep.simulate
+import raysep.solvers
 import raysep.subspace
 from raysep import (
     AngleGrid,
@@ -19,6 +22,7 @@ from raysep import (
     NoiseSpec,
     PseudoSpectrum,
     RaypathSet,
+    SolverConfig,
     SolverInfeasibleError,
     WaveguideScenario,
     build_dictionary,
@@ -28,6 +32,8 @@ from raysep import (
     detect_peaks,
     eigenray_angles,
     estimate_spectra,
+    estimate_spectral_matrix,
+    music_spectrum,
     rmse,
     run_experiment,
     subspace_cs,
@@ -453,3 +459,196 @@ def test_a_run_lifts_once_and_its_path_memo_ends_with_it(monkeypatch):
     del memo, solved[:], built[:]
     gc.collect()
     assert memo_ref() is None  # it ended with the run
+
+
+def test_a_table1_sweep_stays_inside_the_path_memo_bound(monkeypatch):
+    # The seed-101 Table-1 sweep of subspace_cs, MUSIC and CBF at -5 to +20
+    # dB: every passive set its walks visit fits in the memo, so each set is
+    # solved once in the run.
+    geom, paths, grid = table1_fixture()
+    solve, solved = raysep.bench.subspace_cs, []
+
+    def recorded_solve(lifted, config=None):
+        solved.append(lifted)
+        return solve(lifted, config)
+
+    monkeypatch.setattr(raysep.bench, "subspace_cs", recorded_solve)
+    run_experiment(ExperimentPlan(
+        paths=paths, geometry=geom, grid=grid, snr_list=(-5.0, 0.0, 5.0, 10.0, 20.0),
+        trials=20, algorithms=("subspace_cs", "music", "cbf"), seed=101,
+    ))
+    memo = solved[0]._memo["path"]
+    assert all(s._memo["path"] is memo for s in solved)
+    assert 0 < len(memo._sets) < raysep.solvers._PATH_MEMO_SETS
+
+
+def smoke_plans():
+    """Two seeded Table-1 plans at smoke size: every algorithm, and smoothed MUSIC/CBF."""
+    geom, paths, _ = table1_fixture()
+    small = dict(paths=paths, geometry=geom, grid=AngleGrid.uniform(-10.0, 10.0, 1.0),
+                 snr_list=(0.0, 20.0), trials=2, seed=101, num_bins=8, num_snapshots=20)
+    return {
+        "all_algorithms": ExperimentPlan(
+            algorithms=("subspace_cs", "reweighted_cs", "bpdn", "music", "cbf"),
+            solver=SolverConfig(max_reweight_iters=2, inner_max_iters=60, inner_tol=1e-3),
+            **small,
+        ),
+        "smoothed_baselines": ExperimentPlan(
+            algorithms=("music", "cbf"), coherence=0.5, music_smoothing=True, **small
+        ),
+    }
+
+
+# report.csv rows (algorithm, snr_db, path_index, rmse_deg, detection_rate,
+# trials_used) of the plans above, as this version of raysep computes them
+SEEDED_ROWS = {
+    "all_algorithms": [
+        ("subspace_cs", 0.0, 0, 0.519747365919694, 1.0, 2),
+        ("subspace_cs", 0.0, 1, 0.49490713275860054, 1.0, 2),
+        ("subspace_cs", 0.0, 2, 0.2194948968528294, 1.0, 2),
+        ("subspace_cs", 0.0, 3, 0.3558250428551899, 1.0, 2),
+        ("subspace_cs", 0.0, 4, 0.06492244544795511, 1.0, 2),
+        ("subspace_cs", 20.0, 0, 0.6419060406764289, 1.0, 2),
+        ("subspace_cs", 20.0, 1, 0.49490713275860054, 1.0, 2),
+        ("subspace_cs", 20.0, 2, 0.2194948968528294, 1.0, 2),
+        ("subspace_cs", 20.0, 3, 0.3558250428551899, 1.0, 2),
+        ("subspace_cs", 20.0, 4, 0.06492244544795511, 1.0, 2),
+        ("reweighted_cs", 0.0, 0, 0.35809395932357113, 1.0, 2),
+        ("reweighted_cs", 0.0, 1, 0.49490713275860054, 0.5, 1),
+        ("reweighted_cs", 0.0, 2, 0.2194948968528294, 1.0, 2),
+        ("reweighted_cs", 0.0, 3, 0.9911793500563294, 1.0, 2),
+        ("reweighted_cs", 0.0, 4, 0.06492244544795511, 1.0, 2),
+        ("reweighted_cs", 20.0, 0, 0.35809395932357113, 1.0, 2),
+        ("reweighted_cs", 20.0, 1, 0.49490713275860054, 1.0, 2),
+        ("reweighted_cs", 20.0, 2, 0.2194948968528294, 1.0, 2),
+        ("reweighted_cs", 20.0, 3, 0.3558250428551899, 1.0, 2),
+        ("reweighted_cs", 20.0, 4, 0.06492244544795511, 1.0, 2),
+        ("bpdn", 0.0, 0, 0.35809395932357113, 0.5, 1),
+        ("bpdn", 0.0, 1, math.nan, 0.0, 0),
+        ("bpdn", 0.0, 2, 0.2194948968528294, 0.5, 1),
+        ("bpdn", 0.0, 3, 1.35582504285519, 0.5, 1),
+        ("bpdn", 0.0, 4, math.nan, 0.0, 0),
+        ("bpdn", 20.0, 0, 0.35809395932357113, 1.0, 2),
+        ("bpdn", 20.0, 1, 0.50002593662403, 1.0, 2),
+        ("bpdn", 20.0, 2, 0.2194948968528294, 1.0, 2),
+        ("bpdn", 20.0, 3, 0.3558250428551899, 1.0, 2),
+        ("bpdn", 20.0, 4, 0.06492244544795511, 1.0, 2),
+        ("music", 0.0, 0, 0.35809395932357113, 1.0, 2),
+        ("music", 0.0, 1, 0.50002593662403, 1.0, 2),
+        ("music", 0.0, 2, 0.2194948968528294, 1.0, 2),
+        ("music", 0.0, 3, 2.64417495714481, 0.5, 1),
+        ("music", 0.0, 4, 0.6627914290898665, 1.0, 2),
+        ("music", 20.0, 0, 0.9931390854394979, 1.0, 2),
+        ("music", 20.0, 1, math.nan, 0.0, 0),
+        ("music", 20.0, 2, 0.5733089157614809, 1.0, 2),
+        ("music", 20.0, 3, 0.9911793500563294, 1.0, 2),
+        ("music", 20.0, 4, 2.485880668230711, 1.0, 2),
+        ("cbf", 0.0, 0, 0.35809395932357113, 1.0, 2),
+        ("cbf", 0.0, 1, math.nan, 0.0, 0),
+        ("cbf", 0.0, 2, 0.2194948968528294, 1.0, 2),
+        ("cbf", 0.0, 3, 0.9911793500563294, 1.0, 2),
+        ("cbf", 0.0, 4, 0.06492244544795511, 1.0, 2),
+        ("cbf", 20.0, 0, 0.35809395932357113, 1.0, 2),
+        ("cbf", 20.0, 1, math.nan, 0.0, 0),
+        ("cbf", 20.0, 2, 0.2194948968528294, 1.0, 2),
+        ("cbf", 20.0, 3, 1.35582504285519, 1.0, 2),
+        ("cbf", 20.0, 4, 0.06492244544795511, 1.0, 2),
+    ],
+    "smoothed_baselines": [
+        ("music", 0.0, 0, 0.35809395932357113, 1.0, 2),
+        ("music", 0.0, 1, 0.50002593662403, 1.0, 2),
+        ("music", 0.0, 2, 0.2194948968528294, 1.0, 2),
+        ("music", 0.0, 3, 0.3558250428551899, 1.0, 2),
+        ("music", 0.0, 4, 0.06492244544795511, 1.0, 2),
+        ("music", 20.0, 0, 0.35809395932357113, 1.0, 2),
+        ("music", 20.0, 1, 0.5050928672413995, 1.0, 2),
+        ("music", 20.0, 2, 0.2194948968528294, 1.0, 2),
+        ("music", 20.0, 3, 0.3558250428551899, 1.0, 2),
+        ("music", 20.0, 4, 0.06492244544795511, 1.0, 2),
+        ("cbf", 0.0, 0, 0.35809395932357113, 1.0, 2),
+        ("cbf", 0.0, 1, 0.50002593662403, 1.0, 2),
+        ("cbf", 0.0, 2, 0.2194948968528294, 1.0, 2),
+        ("cbf", 0.0, 3, 0.520371423377291, 1.0, 2),
+        ("cbf", 0.0, 4, 0.06492244544795511, 1.0, 2),
+        ("cbf", 20.0, 0, 0.35809395932357113, 1.0, 2),
+        ("cbf", 20.0, 1, 0.49490713275860054, 1.0, 2),
+        ("cbf", 20.0, 2, 0.2194948968528294, 1.0, 2),
+        ("cbf", 20.0, 3, 0.3558250428551899, 1.0, 2),
+        ("cbf", 20.0, 4, 0.06492244544795511, 1.0, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_ROWS))
+def test_seeded_smoke_reports_hold_across_versions(name):
+    # The across-versions guard of the README's test policy: a change that
+    # moves a row here must update it and list it in CHANGES.md.
+    rows = run_experiment(smoke_plans()[name]).rows()
+    assert len(rows) == len(SEEDED_ROWS[name])
+    for row, want in zip(rows, SEEDED_ROWS[name]):
+        *key, rmse_deg, detection_rate, trials_used = want
+        assert [row["algorithm"], row["snr_db"], row["path_index"]] == key
+        assert (row["detection_rate"], row["trials_used"]) == (detection_rate, trials_used), key
+        if math.isnan(rmse_deg):
+            assert math.isnan(row["rmse_deg"]), key
+        else:
+            assert row["rmse_deg"] == pytest.approx(rmse_deg, rel=1e-12, abs=0), key
+
+
+def public_values():
+    """One value of each public type that holds arrays, plus AngleGrid and ExperimentPlan."""
+    geom, paths, grid = bench_fixture()
+    scenario = WaveguideScenario(
+        water_depth_m=100.0, range_m=2000.0, source_depth_m=50.0,
+        receiver_depths_m=37.5 + 2.5 * np.arange(8), sound_speed_mps=1500.0, num_paths=3,
+    )
+    snapshots = synthesize_broadband(
+        paths, (1500.0, 1500.0), 1, 32, NoiseSpec(10.0, 3), geom, "incoherent"
+    )[0]
+    spectral = estimate_spectral_matrix(snapshots)
+    decomposition = decompose(spectral, 2)
+    dictionary = build_dictionary(grid, 1500.0, geom)
+    lifted = build_lifted_system(decomposition, dictionary)
+    plan = ExperimentPlan(
+        paths=paths, geometry=geom, grid=grid, snr_list=(10.0,), trials=1,
+        algorithms=("cbf",), seed=1, num_bins=1, band_hz=(1500.0, 1500.0), num_snapshots=16,
+    )
+    return {
+        "AngleGrid": grid,
+        "SteeringDictionary": dictionary,
+        "RaypathSet": paths,
+        "WaveguideScenario": scenario,
+        "SnapshotMatrix": snapshots,
+        "SpectralMatrix": spectral,
+        "SubspaceDecomposition": decomposition,
+        "LiftedSystem": lifted,
+        "SparseSpectrum": subspace_cs(
+            lifted, SolverConfig(residual_bound=0.5 * np.linalg.norm(lifted.vector))
+        ),
+        "PseudoSpectrum": music_spectrum(spectral, 2, grid, geom, 1500.0),
+        "RmseReport": run_experiment(plan),
+        "PathScores": rmse([np.array([-20.0, 15.0])], paths),
+        "ExperimentPlan": plan,
+    }
+
+
+@pytest.fixture(scope="module")
+def public_value_set():
+    return public_values()
+
+
+@pytest.mark.parametrize("name", [
+    "AngleGrid", "SteeringDictionary", "RaypathSet", "WaveguideScenario", "SnapshotMatrix",
+    "SpectralMatrix", "SubspaceDecomposition", "LiftedSystem", "SparseSpectrum",
+    "PseudoSpectrum", "RmseReport", "PathScores", "ExperimentPlan",
+])
+def test_public_values_compare_and_hash_without_raising(public_value_set, name):
+    # Types that hold arrays compare and hash by identity; AngleGrid compares
+    # by its angles, and ExperimentPlan by its fields.
+    value = public_value_set[name]
+    assert type(value).__name__ == name
+    twin = copy.deepcopy(value)
+    assert value == value and not value != value
+    assert (twin == value) is (name == "AngleGrid")
+    assert (twin != value) is (name != "AngleGrid")
+    hash(value)
