@@ -176,10 +176,10 @@ class EstimatorSettings:
         subspace_retry: The noise-floor residual allowance knows nothing
             about path cross terms, which dominate at high SNR and can push
             the requested bound below what any nonnegative fit can reach.
-            ``subspace_cs`` then refuses the bound at the end of its path,
-            carrying the nonnegative least-squares floor. When True (default),
-            the solve is retried once at 1.1x that floor; when False the
-            infeasibility propagates.
+            ``subspace_cs`` then ends its path at the nonnegative
+            least-squares floor, above the bound. When True (default), it is
+            asked to meet 1.1x that floor instead and marks its spectrum
+            retried; when False the refusal propagates.
         solver: Inner-solver tolerances for all sparse programs.
     """
 
@@ -221,7 +221,6 @@ class _TrialData:
         self.lifted = lifted
         freqs = np.array([b.frequency_hz for b in bins])
         self.center = bins[int(np.argmin(np.abs(freqs - focus_hz)))]
-        self.retried = set()  # algorithms whose solve was retried
         self._raw = None
         self._smooth = None
 
@@ -282,14 +281,7 @@ def _run_algorithm(data: _TrialData, alg: str):
         dec = decompose(data.smoothed_covariance(), s.num_paths)
         lifted = data.lifted_system(dec)
         bound = choose_delta(dec, s.num_paths, factor=s.delta_factor)
-        try:
-            return subspace_cs(lifted, _with_bound(s.solver, bound))
-        except SolverInfeasibleError as e:
-            if not s.subspace_retry:
-                raise
-            data.retried.add(alg)
-            retry_bound = max(bound, 1.1 * e.min_residual)
-            return subspace_cs(lifted, _with_bound(s.solver, retry_bound))
+        return subspace_cs(lifted, _with_bound(s.solver, bound), retry=s.subspace_retry)
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
@@ -535,7 +527,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
             peaks[alg] = got
             if alg in _SPARSE:
                 outcomes[alg] = {
-                    "retried": alg in data.retried,
+                    "retried": spectrum is not None and spectrum.retried,
                     "zero_spectrum": spectrum is not None and not np.any(spectrum.values),
                     "not_converged": spectrum is not None and not spectrum.converged,
                 }

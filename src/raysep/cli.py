@@ -114,11 +114,14 @@ def _number(cfg: dict, path: str, key: str, default=None, allow_inf: bool = Fals
         if default is not None:
             return default
         raise ConfigError(f"{path}.{key}: missing required number")
-    v = cfg[key]
+    return _as_number(cfg[key], f"{path}.{key}", allow_inf)
+
+
+def _as_number(v, field: str, allow_inf: bool = False) -> float:
     if allow_inf and v in ("inf", "Infinity"):
         return float("inf")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+        raise ConfigError(f"{field}: expected a number, got {v!r}")
     return float(v)
 
 
@@ -229,7 +232,7 @@ def _build_signal(cfg: dict, path: str = "signal"):
         band_raw = cfg["band_hz"]
         if not isinstance(band_raw, list) or len(band_raw) != 2:
             raise ConfigError(f"{path}.band_hz: expected [low_hz, high_hz]")
-        band = (float(band_raw[0]), float(band_raw[1]))
+        band = tuple(_as_number(v, f"{path}.band_hz[{i}]") for i, v in enumerate(band_raw))
         num_bins = _integer(cfg, path, "num_bins")
     coherence = cfg.get("coherence", "coherent")
     if isinstance(coherence, (int, float)) and not isinstance(coherence, bool):
@@ -407,7 +410,8 @@ def _cmd_bench(args) -> int:
             paths=paths,
             geometry=geometry,
             grid=grid,
-            snr_list=tuple(float(s) for s in snr_raw),
+            snr_list=tuple(_as_number(s, f"config.snr_db[{i}]", allow_inf=True)
+                           for i, s in enumerate(snr_raw)),
             trials=_integer(cfg, "config", "trials"),
             algorithms=_build_algorithms(cfg, "config"),
             seed=seed,

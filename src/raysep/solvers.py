@@ -15,14 +15,13 @@
 to breakpoint in the Gram domain until the data residual reaches the
 requested bound. Its end at level 0 is the nonnegative least-squares
 optimum (Lawson & Hanson 1974), so an unreachable bound is refused with a
-certified floor by the same loop. What a segment computes from the lifted
-matrix alone (the Gram, and per passive set its solve, rate and move) is
-kept in a memo (``_PathMemo``) that the ``LiftedSystem`` owns, so it lives
-as long as the system and the systems made from it by ``_with_vector``.
-The walk itself depends on the bound only through its stop test, so the
-system keeps that too (``_PathWalk``): a later solve at another bound,
-such as a retry at 1.1 x a refused bound's floor, reads the breakpoints
-already passed and walks on only past them.
+certified floor by the same loop, or, when the caller asks for a retry,
+met at 1.1 x that floor by the point of the same walk. What a segment
+computes from the lifted matrix alone (the Gram, and per passive set its
+solve, rate and move) is kept in a memo (``_PathMemo``) that the
+``LiftedSystem`` owns, so it lives as long as the system and the systems
+made from it by ``_with_vector``. The walk itself (``_PathWalk``) lives
+and ends within one call.
 
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
@@ -81,6 +80,8 @@ _TIE_REL = 1e-15
 # faster than this, relative to the level's own rate.
 _ADMIT_TOL = 1e-10
 _PATH_SEGMENTS_PER_ATOM = 10
+# A requested retry meets this multiple of the nonnegative least-squares floor.
+_RETRY_FACTOR = 1.1
 # Passive sets whose segment solves the path memo of one lifted matrix keeps.
 _PATH_MEMO_SETS = 1024
 _TINY = np.finfo(float).tiny
@@ -138,9 +139,9 @@ class SparseSpectrum:
     method: str
     # Work over every inner solve: for the complex solvers, coordinate sweeps
     # plus the polishes that ran (only working sets of at most M rows are
-    # polished); for subspace_cs, the k x k passive-set systems the path
+    # polished); for subspace_cs, the k x k passive-set systems its walk
     # visits, each counted whether its solve came from the path memo or was
-    # computed.
+    # computed; a retried walk counts all of them, to the path's end.
     iterations: int
     residual: float
     residual_bound: float
@@ -155,6 +156,8 @@ class SparseSpectrum:
     # largest set of entries that moved on one.
     inner_solves: int = 0
     peak_support: int = 0
+    # subspace_cs only: residual_bound is 1.1 x the floor above the requested bound
+    retried: bool = False
 
     def diagnostics(self) -> dict:
         """JSON-ready summary of the solve."""
@@ -167,6 +170,7 @@ class SparseSpectrum:
             "converged": bool(self.converged),
             "inner_solves": int(self.inner_solves),
             "peak_support": int(self.peak_support),
+            "retried": bool(self.retried),
         }
 
 
@@ -177,6 +181,7 @@ class _InnerResult:
     kkt: float
     iterations: int
     objective_history: list
+    retry_bound: float | None = None  # the bound a retried path walk raised to
 
 
 def _solve_psd(h: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -674,16 +679,14 @@ class _Breakpoint:
 
     ``x`` and ``lam`` are the solution and level at the start, ``r`` the
     residual there and ``residual`` its norm; the segment moves x[idx] by
-    s * d and r by -s * u for s up to ``t``. ``solves`` and ``peak`` are the
-    walk's passive-set solves and largest passive set through the segment.
+    s * d and r by -s * u for s up to ``t``.
     """
 
-    __slots__ = ("x", "lam", "residual", "r", "idx", "d", "t", "u", "solves", "peak")
+    __slots__ = ("x", "lam", "residual", "r", "idx", "d", "t", "u")
 
-    def __init__(self, x, lam, residual, r, idx, d, t, u, solves, peak):
+    def __init__(self, x, lam, residual, r, idx, d, t, u):
         self.x, self.lam, self.residual, self.r = x, lam, residual, r
         self.idx, self.d, self.t, self.u = idx, d, t, u
-        self.solves, self.peak = solves, peak
 
 
 class _PathWalk:
@@ -692,22 +695,19 @@ class _PathWalk:
     Nothing a segment computes depends on the residual bound; only the stop
     test ||r - t u|| <= aim does. So the walk keeps every breakpoint it has
     passed (``breaks``, ``history``) with its stop-test norm (``stops``),
-    and the state at the next one (``x``, ``lam``, ``event``). A solve at
-    any bound scans the kept norms and walks on only past the last of them;
-    what it returns is what a fresh walk to that bound returns. One lock
-    serializes the solves that share the walk.
+    and the state at the next one (``x``, ``lam``, ``event``): a second,
+    looser aim, such as a retry's, is met by scanning the kept norms. Its
+    work is counted in ``log``.
     """
 
-    def __init__(self, a, b, memo: _PathMemo):
-        self.a, self.b, self.memo = a, b, memo
+    def __init__(self, a, b, memo: _PathMemo, log: _SearchLog):
+        self.a, self.b, self.memo, self.log = a, b, memo, log
         self.c = (a.conj().T @ b).real
         self.lam_max = float(np.max(self.c))
         self.tie = _TIE_REL * max(self.lam_max, _TINY)
         self.cap = _PATH_SEGMENTS_PER_ATOM * self.c.size
         self.x, self.lam, self.event = np.zeros(self.c.size), self.lam_max, -1
         self.breaks, self.history, self.stops = [], [], []
-        self.log = _SearchLog()
-        self.lock = threading.Lock()
 
     def stop_for(self, aim: float):
         """Index of the first breakpoint whose segment reaches ``aim``.
@@ -757,9 +757,7 @@ class _PathWalk:
         event = int(ratios.argmin())
         t = min(float(ratios[event]), lam)
         u = seg.move(a, idx) if seg is not None else a[:, idx] @ d
-        self.breaks.append(
-            _Breakpoint(x, lam, residual, r, idx, d, t, u, log.iterations, log.peak_support)
-        )
+        self.breaks.append(_Breakpoint(x, lam, residual, r, idx, d, t, u))
         stop = _norm(r - t * u)
         self.stops.append(stop)
         x = x.copy()
@@ -771,7 +769,7 @@ class _PathWalk:
 
 
 def _nonneg_path(
-    a, b, bound: float, log: _SearchLog, memo: _PathMemo, walk: _PathWalk | None = None
+    a, b, bound: float, log: _SearchLog, memo: _PathMemo, retry: bool = False
 ) -> _InnerResult:
     """Nonnegative lasso homotopy down to ``_PATH_AIM * bound``.
 
@@ -781,40 +779,44 @@ def _nonneg_path(
     lam = max(c) down to lam = 0, segment by segment (``_PathWalk``). The
     residual stays in the data domain: along a segment it is r - t a d, so
     the point where its norm reaches the aim is the smaller root of a
-    quadratic.
+    quadratic. ``memo``, the path memo of ``a``, holds the Gram and each
+    segment's part that does not depend on ``b``; ``log`` counts the walk.
 
     The end at lam = 0 is the nonnegative least-squares optimum (Lawson &
-    Hanson 1974), the smallest residual any p >= 0 reaches; it is returned
-    when it is within ``bound``. ``memo``, the path memo of ``a``, holds
-    the Gram and each segment's part that does not depend on ``b``.
-    ``walk``, if given, is the walk of ``a`` and ``b`` kept from earlier
-    solves; it is read and extended, and the result is what a fresh walk
-    gives.
+    Hanson 1974), the smallest residual any p >= 0 reaches (the floor); it
+    is returned when it is within ``bound``. Above it, with ``retry``, the
+    result is the same walk's point at ``_RETRY_FACTOR`` x the floor (the
+    zero solution if that covers b), with that bound as ``retry_bound``.
 
     Raises:
-        SolverInfeasibleError: If the path ends above ``bound``, with that
-            end's residual as ``min_residual``.
+        SolverInfeasibleError: If the path ends above ``bound`` and
+            ``retry`` is False, with that end's residual as
+            ``min_residual``.
     """
-    if walk is None:
-        walk = _PathWalk(a, b, memo)
-    aim = _PATH_AIM * bound
-    with walk.lock:
-        k = walk.stop_for(aim)
-        if k is None:
-            brk, x, lam, segments = None, walk.x.copy(), walk.lam, len(walk.breaks)
-            solves, peak = walk.log.iterations, walk.log.peak_support
-        else:
-            brk, segments = walk.breaks[k], k + 1
-            solves, peak = brk.solves, brk.peak
-        history = walk.history[:segments]
-    log.iterations += solves
-    log.inner_solves += segments
-    log.peak_support = max(log.peak_support, peak)
-    if brk is not None:
+    walk = _PathWalk(a, b, memo, log)
+    aim, retry_bound = _PATH_AIM * bound, None
+    k = walk.stop_for(aim)
+    if k is None:
+        x, lam, segments = walk.x, walk.lam, len(walk.breaks)
+        on = np.flatnonzero(x > 0.0)
+        residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
+        if lam <= 0.0 and residual > bound:
+            if not retry:
+                raise _unreachable(bound, residual)
+            # above the floor, so above the refused bound too
+            retry_bound = _RETRY_FACTOR * residual
+            data_norm = float(np.linalg.norm(b))
+            if data_norm <= retry_bound:
+                # the zero solution meets it, as subspace_cs reports a loose bound
+                return _InnerResult(np.zeros(x.size), data_norm, 0.0, 0, [0.0], retry_bound)
+            aim = _PATH_AIM * retry_bound
+            k = walk.stop_for(aim)
+    if k is not None:
+        brk, segments = walk.breaks[k], k + 1
+        r, u = brk.r, brk.u
         # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation:
         # the discriminant ru^2 - uu * gap is uu * (aim^2 - p^2), with p the
         # part of r orthogonal to u, which stays accurate near exact fit
-        r, u = brk.r, brk.u
         gap = brk.residual**2 - aim**2
         ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
         p = _norm(r - (ru / uu) * u)
@@ -822,19 +824,20 @@ def _nonneg_path(
         x = brk.x.copy()
         x[brk.idx] += s * brk.d
         lam = brk.lam - s
+        on = np.flatnonzero(x > 0.0)
+        residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
 
-    on = np.flatnonzero(x > 0.0)
-    residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
-    if lam <= 0.0 and residual > bound:
-        raise _unreachable(bound, residual)
+    history = walk.history[:segments]
     history.append(0.5 * residual**2 + lam * float(np.sum(x)))
     grad = walk.c - memo.gram[:, on] @ x[on]
     excess = np.where(x > 0.0, np.abs(grad - lam), np.maximum(grad - lam, 0.0))
     kkt = float(np.max(excess)) / (lam if lam > 0.0 else walk.lam_max)
-    return _InnerResult(x, residual, kkt, segments, history)
+    return _InnerResult(x, residual, kkt, segments, history, retry_bound)
 
 
 def _spectrum_from_result(grid, values, method, result, log, bound, tol) -> SparseSpectrum:
+    if result.retry_bound is not None:
+        bound = result.retry_bound  # a retried path walk met this bound instead
     feasible = result.residual <= bound * (1.0 + _FEASIBILITY_SLACK)
     stationary = result.kkt <= tol
     return SparseSpectrum(
@@ -849,6 +852,7 @@ def _spectrum_from_result(grid, values, method, result, log, bound, tol) -> Spar
         objective_history=np.asarray(result.objective_history),
         inner_solves=log.inner_solves,
         peak_support=log.peak_support,
+        retried=result.retry_bound is not None,
     )
 
 
@@ -971,7 +975,9 @@ def reweighted_cs(
     )
 
 
-def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> SparseSpectrum:
+def subspace_cs(
+    lifted: LiftedSystem, config: SolverConfig | None = None, retry: bool = False
+) -> SparseSpectrum:
     """Nonnegative l1 recovery of path powers from the lifted system.
 
     Solves min ||p||_1 over p >= 0 subject to
@@ -984,20 +990,22 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     residual is ``0.95 * bound``; it is stationary for the penalty level it
     sits at. When the nonnegative least-squares floor, the end of the path,
     lies between that and the bound, the floor's solution is returned.
-
-    ``lifted`` keeps the walk, so a later solve of the same system at any
-    bound reads it and walks on only past its last breakpoint; the
-    spectrum, or the refusal, is the one a fresh walk gives.
+    Each call walks the path once, and its counters count that walk.
 
     Args:
         lifted: Vectorized signal subspace and lifted dictionary.
         config: Tolerances; ``residual_bound`` is the covariance-domain
             residual allowance (see ``choose_delta``).
+        retry: Meet a bound below the floor at 1.1 x the floor instead of
+            refusing it. The spectrum is then the walk's own point at that
+            bound (or all zeros, if that bound covers the data), with
+            ``retried`` set and the raised bound as ``residual_bound``.
 
     Raises:
         SolverInfeasibleError: If the bound is below the best achievable
-            residual. ``min_residual`` is the nonnegative least-squares
-            floor, the residual at the end of the path.
+            residual and ``retry`` is False. ``min_residual`` is the
+            nonnegative least-squares floor, the residual at the end of the
+            path.
     """
     config = config or SolverConfig()
     b = lifted.vector
@@ -1007,17 +1015,13 @@ def subspace_cs(lifted: LiftedSystem, config: SolverConfig | None = None) -> Spa
     if data_norm <= bound:
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
 
-    # the system's path memo, shared by every system made from it by
-    # _with_vector, and its own walk; when two threads race to start
-    # either, setdefault keeps one
+    # the path memo, shared by every system made from this one by
+    # _with_vector; when two threads race to start it, setdefault keeps one
     memo = lifted._memo.get("path")
     if memo is None:
         memo = lifted._memo.setdefault("path", _PathMemo(lifted.matrix))
-    walk = lifted._kept.get("walk")
-    if walk is None:
-        walk = lifted._kept.setdefault("walk", _PathWalk(lifted.matrix, b, memo))
     log = _SearchLog()
-    best = _nonneg_path(lifted.matrix, b, bound, log, memo, walk)
+    best = _nonneg_path(lifted.matrix, b, bound, log, memo, retry)
     return _spectrum_from_result(
         grid, best.x, "subspace_cs", best, log, bound, config.inner_tol
     )

@@ -9,10 +9,10 @@ steering vector with itself. Sparse recovery on that lifted system is what
 separates arrivals closer than the classical resolution limit.
 
 A ``LiftedSystem`` holds private read-only copies of its vector and matrix,
-and owns what ``raysep.solvers.subspace_cs`` computes from them: from the
-matrix alone the nonnegative path's memo, which systems made from it by
-``_with_vector`` share (so a benchmark run lifts once for all its cells),
-and from the pair the path walk, which is its own.
+and owns what ``raysep.solvers.subspace_cs`` keeps from the matrix alone:
+the nonnegative path's memo, which systems made from it by ``_with_vector``
+share (so a benchmark run lifts once for all its cells). The path walk of
+a solve lives only as long as that call.
 """
 
 from __future__ import annotations
@@ -121,13 +121,11 @@ class LiftedSystem:
 
     The system keeps private copies of ``vector`` and ``matrix`` on
     immutable buffers, so later changes to the caller's arrays never reach
-    it and nothing can make its own writable. It also owns what
-    ``raysep.solvers.subspace_cs`` keeps of its solves: the memo it fills
-    from the matrix (the nonnegative path's Gram and passive-set solves),
-    and the path walk of this vector, which a solve at another bound reads
-    instead of walking again. ``_with_vector`` gives the same system for
-    another vector, sharing the matrix and the memo but not the walk; the
-    constructor, a copy and an unpickled system start both afresh.
+    it and nothing can make its own writable. It also owns the memo that
+    ``raysep.solvers.subspace_cs`` fills from the matrix (the nonnegative
+    path's Gram and passive-set solves). ``_with_vector`` gives the same
+    system for another vector, sharing the matrix and the memo; the
+    constructor, a copy and an unpickled system start a memo of their own.
     """
 
     vector: np.ndarray
@@ -142,19 +140,18 @@ class LiftedSystem:
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "matrix", g)
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_kept", {})
 
     def _with_vector(self, vector) -> LiftedSystem:
-        """This system for another vector; shares the matrix and the memo, not the walk."""
+        """This system for another vector; shares the matrix and the memo."""
         v = _read_only_copy(np.ravel(vector), complex)
         if v.size != self.vector.size:
             raise ValueError("lifted matrix must be len(vector) x grid size")
         other = object.__new__(LiftedSystem)
-        other.__dict__.update(self.__dict__, vector=v, _kept={})
+        other.__dict__.update(self.__dict__, vector=v)
         return other
 
     def __reduce__(self):
-        # rebuilt by the constructor: the memo and the walk hold locks and stay behind
+        # rebuilt by the constructor: the memo holds a lock and stays behind
         return LiftedSystem, (self.vector, self.matrix, self.grid)
 
 

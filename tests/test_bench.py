@@ -376,9 +376,9 @@ def test_subspace_retry_solves_at_the_certified_floor():
     dictionary = build_dictionary(grid, 1500.0, geom)
     data = raysep.bench._TrialData(settings, bins, dictionary, 1500.0)
     retried = raysep.bench._run_algorithm(data, "subspace_cs")
-    assert data.retried == {"subspace_cs"}
+    assert retried.retried and retried.diagnostics()["retried"] is True
 
-    # the retry reads the refused walk; compare it with a walk of its own
+    # the retry is the refused walk's point; compare it with a walk of its own
     dec = decompose(data.smoothed_covariance(), 5)
     bound = choose_delta(dec, 5, factor=settings.delta_factor)
     with pytest.raises(SolverInfeasibleError) as exc:
@@ -389,9 +389,13 @@ def test_subspace_retry_solves_at_the_certified_floor():
         build_lifted_system(dec, dictionary),
         replace(settings.solver, residual_bound=1.1 * exc.value.min_residual),
     )
+    assert not direct.retried
     assert_array_equal(retried.values, direct.values)
-    assert retried.diagnostics() == direct.diagnostics()
+    assert retried.residual == direct.residual
+    assert retried.residual_bound == direct.residual_bound
     assert_array_equal(retried.objective_history, direct.objective_history)
+    # it counts the whole refused walk, which went past the retry's point
+    assert retried.inner_solves > direct.inner_solves
 
     # without the retry the refusal propagates; the CLI reports its message
     strict = raysep.bench._TrialData(
@@ -399,7 +403,6 @@ def test_subspace_retry_solves_at_the_certified_floor():
     )
     with pytest.raises(SolverInfeasibleError, match="residual"):
         raysep.bench._run_algorithm(strict, "subspace_cs")
-    assert strict.retried == set()
 
 
 def test_solver_outcomes_count_retries_and_zero_spectra_without_flagging():
@@ -437,9 +440,9 @@ def test_a_run_lifts_once_and_its_path_memo_ends_with_it(monkeypatch):
         built.append(system)
         post_init(system)
 
-    def recorded_solve(lifted, config=None):
+    def recorded_solve(lifted, config=None, retry=False):
         solved.append(lifted)
-        return solve(lifted, config)
+        return solve(lifted, config, retry)
 
     monkeypatch.setattr(raysep.bench, "lift_dictionary", counted_lift)
     monkeypatch.setattr(raysep.subspace.LiftedSystem, "__post_init__", counted_post_init)
@@ -450,9 +453,9 @@ def test_a_run_lifts_once_and_its_path_memo_ends_with_it(monkeypatch):
     assert lifts == [] and built == []
     report = run_experiment(ExperimentPlan(algorithms=("subspace_cs", "cbf"), **small))
     assert len(lifts) == 1 and len(built) == 1
-    # two cells, each refused and retried: one memo serves all four solves
+    # two cells, each retried within its one solve: one memo serves both
     assert report.solver_outcomes[("subspace_cs", 20.0)]["retried"] == 2
-    assert len(solved) == 4
+    assert len(solved) == 2
     memo = solved[0]._memo["path"]
     assert all(s._memo["path"] is memo and s.matrix is built[0].matrix for s in solved)
     memo_ref = weakref.ref(memo)
@@ -468,9 +471,9 @@ def test_a_table1_sweep_stays_inside_the_path_memo_bound(monkeypatch):
     geom, paths, grid = table1_fixture()
     solve, solved = raysep.bench.subspace_cs, []
 
-    def recorded_solve(lifted, config=None):
+    def recorded_solve(lifted, config=None, retry=False):
         solved.append(lifted)
-        return solve(lifted, config)
+        return solve(lifted, config, retry)
 
     monkeypatch.setattr(raysep.bench, "subspace_cs", recorded_solve)
     run_experiment(ExperimentPlan(

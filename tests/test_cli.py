@@ -292,3 +292,32 @@ def test_partial_solver_block_keeps_the_default_solver():
     assert partial == _build_solver(None)
     assert partial.max_reweight_iters == 6
     assert _build_solver({"max_reweight_iters": 2}).max_reweight_iters == 2
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("signal", "band_hz", ["a", 2000.0], "signal.band_hz[0]"),
+        ("signal", "band_hz", [None, 2000.0], "signal.band_hz[0]"),
+        ("signal", "band_hz", [1000.0, True], "signal.band_hz[1]"),
+        (None, "snr_db", [None], "config.snr_db[0]"),
+        (None, "snr_db", [0.0, "loud"], "config.snr_db[1]"),
+        (None, "snr_db", [False], "config.snr_db[0]"),
+    ],
+    ids=["band-string", "band-null", "band-bool", "snr-null", "snr-string", "snr-bool"],
+)
+def test_bench_list_entry_that_is_not_a_number_is_a_config_error(
+    tmp_path, capsys, section, key, value, field
+):
+    cfg = bench_config()
+    (cfg[section] if section else cfg)[key] = value
+    path = write_config(tmp_path / "bench.json", cfg)
+    assert main(["bench", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"{field}: expected a number" in capsys.readouterr().err
+
+
+def test_bench_snr_list_accepts_infinity_as_noise_snr_does(tmp_path):
+    cfg = write_config(tmp_path / "bench.json", bench_config(snr_db=["inf", "Infinity"], trials=1))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["snr_db"] == [np.inf, np.inf]

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import gc
 import itertools
 import pickle
@@ -238,9 +239,15 @@ def test_subspace_cs_infeasible_bound_reports_min_residual():
     lifted_matrix = lift_dictionary(d)
     vec = -np.sum(lifted_matrix, axis=1) / lifted_matrix.shape[1]
     lifted = LiftedSystem(vec, lifted_matrix, grid)
+    cfg = SolverConfig(residual_bound=1e-6 * np.linalg.norm(vec))
     with pytest.raises(SolverInfeasibleError) as exc:
-        subspace_cs(lifted, SolverConfig(residual_bound=1e-6 * np.linalg.norm(vec)))
+        subspace_cs(lifted, cfg)
     assert exc.value.min_residual > 0
+    # no p >= 0 beats p = 0 here, so 1.1 x the floor covers the data: a
+    # requested retry gives the zero spectrum at that bound
+    spec = subspace_cs(lifted, cfg, retry=True)
+    assert spec.retried and spec.converged and not np.any(spec.values)
+    assert spec.residual_bound == 1.1 * exc.value.min_residual >= spec.residual
 
 
 
@@ -439,8 +446,9 @@ def test_diagnostics_payload():
     spec = bpdn(d, d.matrix[:, 10], SolverConfig(residual_bound=0.1))
     diag = spec.diagnostics()
     assert set(diag) == {"method", "iterations", "residual", "residual_bound",
-                         "objective", "converged", "inner_solves", "peak_support"}
-    assert diag["method"] == "bpdn"
+                         "objective", "converged", "inner_solves", "peak_support",
+                         "retried"}
+    assert diag["method"] == "bpdn" and diag["retried"] is False
     assert diag["inner_solves"] >= 1 and diag["peak_support"] >= 1
     assert diag["residual"] <= 0.1 * (1 + 1e-6)
 
@@ -967,6 +975,26 @@ def test_memoized_path_matches_the_unmemoized_walk_bit_for_bit():
     assert refused == 11
 
 
+def test_a_requested_retry_returns_the_refused_walks_point_at_the_raised_bound():
+    # The request changes nothing on a bound the path meets. On a refused
+    # bound, its point is the one a walk to 1.1 x the floor returns, and its
+    # work is that of the refused walk, which went to the path's end.
+    S = raysep.solvers
+    refused = 0
+    for a, b, bound in memo_walk_cases():
+        want = walk(reference_nonneg_path, a, b, bound)
+        got = walk(functools.partial(S._nonneg_path, retry=True), a, b, bound, S._PathMemo(a))
+        if not isinstance(want[0], float):
+            assert_same_walk(got, want)
+            assert got[0].retry_bound is None
+            continue
+        refused += 1
+        floor, refused_log = want
+        assert_same_walk(got, (walk(reference_nonneg_path, a, b, 1.1 * floor)[0], refused_log))
+        assert got[0].retry_bound == 1.1 * floor
+    assert refused == 11
+
+
 def test_path_memo_is_bounded_and_read_only(monkeypatch):
     S = raysep.solvers
     # the nine walks visit 196 distinct sets, fewer than the module's bound,
@@ -1152,15 +1180,10 @@ def test_solved_lifted_system_pickles_and_copies_to_the_same_spectrum(duplicate)
     assert path_memo(twin) is not path_memo(system)
 
 
-def kept_walk(lifted: LiftedSystem):
-    """The path walk ``subspace_cs`` keeps on ``lifted`` (None before a solve)."""
-    return lifted._kept.get("walk")
-
-
-def solve_or_refusal(lifted: LiftedSystem, bound: float):
+def solve_or_refusal(lifted: LiftedSystem, bound: float, retry: bool = False):
     """The spectrum of ``subspace_cs`` at ``bound``, or the refusal's min_residual."""
     try:
-        return subspace_cs(lifted, SolverConfig(residual_bound=bound))
+        return subspace_cs(lifted, SolverConfig(residual_bound=bound), retry=retry)
     except SolverInfeasibleError as exc:
         return exc.min_residual
 
@@ -1185,7 +1208,7 @@ def build_lifted_system_like(lifted: LiftedSystem) -> LiftedSystem:
     return LiftedSystem(np.array(lifted.vector), np.array(lifted.matrix), lifted.grid)
 
 
-def kept_walk_bounds(lifted: LiftedSystem, delta: float) -> list:
+def path_bounds(lifted: LiftedSystem, delta: float) -> list:
     """Bounds from loose to refused on one Table-1 system, tightest last.
 
     They span the whole path: a bound the zero spectrum meets, levels that
@@ -1198,56 +1221,53 @@ def kept_walk_bounds(lifted: LiftedSystem, delta: float) -> list:
     return [1.01 * data_norm, 0.6 * data_norm, 0.2 * data_norm, 2.0 * floor, 1.1 * floor, delta]
 
 
-def test_kept_walk_matches_a_fresh_walk_at_every_bound_in_any_order():
-    S = raysep.solvers
+def test_repeated_solves_of_one_system_equal_fresh_systems_at_bounds_in_any_order():
     lifted, delta = table1_lifted_system(5.0, seed=5)
-    a, b = lifted.matrix, lifted.vector
-    descending = kept_walk_bounds(lifted, delta)[1:]
+    bounds = path_bounds(lifted, delta)
+    descending = bounds[1:]
     ascending = descending[::-1]
     repeated = [descending[3], descending[3], descending[0], descending[3], descending[4]]
-    memo = S._PathMemo(a)
     for order in (descending, ascending, repeated):
-        kept = S._PathWalk(a, b, memo)
-        for bound in order:
-            want = walk(reference_nonneg_path, a, b, bound)
-            assert_same_walk(walk(S._nonneg_path, a, b, bound, memo, kept), want)
-    # the same orders through subspace_cs on one system, against a fresh system per bound
-    for order in (descending, ascending, repeated):
-        system = lifted._with_vector(b)
-        for bound in [kept_walk_bounds(lifted, delta)[0]] + order:
+        system = lifted._with_vector(lifted.vector)
+        for bound in [bounds[0]] + order:
             got = solve_or_refusal(system, bound)
-            assert_same_spectrum(got, solve_or_refusal(build_lifted_system_like(lifted), bound))
+            want = solve_or_refusal(build_lifted_system_like(lifted), bound)
+            assert_same_spectrum(got, want)
             if not isinstance(got, float):
-                got.values[:] = np.nan  # a caller's edit never reaches the kept walk
-        assert kept_walk(system) is not None
+                got.values[:] = np.nan  # a caller's edit never reaches the system
+            # a retry, when requested, changes only what the path refused
+            again = solve_or_refusal(system, bound, retry=True)
+            if isinstance(want, float):
+                assert again.retried and again.residual_bound == 1.1 * want
+            else:
+                assert_same_spectrum(again, want)
+                assert not again.retried
 
 
-def test_kept_walk_that_ended_at_the_segment_cap_matches_a_fresh_walk(monkeypatch):
+def test_a_walk_that_ends_at_the_segment_cap_matches_the_reference(monkeypatch):
     S = raysep.solvers
     lifted, _ = table1_lifted_system(20.0, seed=7)
     a, b = lifted.matrix, lifted.vector
     data_norm = float(np.linalg.norm(b))
     # a 6-segment cap: 0.9 ||b|| stops on segment 5, 0.6 ||b|| (segment 9
-    # uncapped) and the exact-fit limit end at the cap with lam > 0
+    # uncapped) and the exact-fit limit end at the cap with lam > 0, which
+    # is no refusal, so a requested retry does not apply
     monkeypatch.setattr(S, "_PATH_SEGMENTS_PER_ATOM", 6 / len(lifted.grid))
     early, late, tiny = 0.9 * data_norm, 0.6 * data_norm, 1e-9 * data_norm
-    wants = {bound: walk(reference_nonneg_path, a, b, bound) for bound in (early, late, tiny)}
-    assert wants[early][0].iterations == 5
-    for bound in (late, tiny):
-        assert wants[bound][0].iterations == 6 and wants[bound][0].residual > bound
     memo = S._PathMemo(a)
-    for order in ((tiny, early, late, tiny), (early, late, early, tiny)):
-        kept = S._PathWalk(a, b, memo)
-        for bound in order:
-            got = walk(S._nonneg_path, a, b, bound, memo, kept)
-            assert_same_walk(got, wants[bound])
-            got[0].x[:] = np.nan  # a caller's edit never reaches the kept walk
-        assert len(kept.breaks) == 6
+    for bound in (early, late, tiny):
+        want = walk(reference_nonneg_path, a, b, bound)
+        assert want[0].iterations == (5 if bound == early else 6)
+        assert bound == early or want[0].residual > bound
+        assert_same_walk(walk(S._nonneg_path, a, b, bound, memo), want)
+        retried = walk(functools.partial(S._nonneg_path, retry=True), a, b, bound, memo)
+        assert_same_walk(retried, want)
+        assert retried[0].retry_bound is None
 
 
 def test_two_threads_on_one_system_give_the_serial_results():
     lifted, delta = table1_lifted_system(5.0, seed=5)
-    bounds = kept_walk_bounds(lifted, delta)
+    bounds = path_bounds(lifted, delta)
     bounds = (bounds[::-1] + bounds) * 2
     wants = [solve_or_refusal(build_lifted_system_like(lifted), bound) for bound in bounds]
     system = lifted._with_vector(lifted.vector)
@@ -1261,23 +1281,3 @@ def test_two_threads_on_one_system_give_the_serial_results():
         sys.setswitchinterval(switch)
     for got, want in zip(results, wants):
         assert_same_spectrum(got, want)
-    assert kept_walk(system) is not None
-
-
-@pytest.mark.parametrize("make", ["with_vector", "pickle", "deepcopy", "copy"])
-def test_systems_made_from_a_solved_system_start_without_its_walk(make):
-    lifted, delta = table1_lifted_system(5.0, seed=5)
-    system = lifted._with_vector(lifted.vector)
-    bound = kept_walk_bounds(system, delta)[4]  # 1.1 x floor
-    want = solve_or_refusal(system, bound)
-    walked = kept_walk(system)
-    assert walked is not None and walked.breaks
-    twin = {
-        "with_vector": lambda s: s._with_vector(s.vector),
-        "pickle": lambda s: pickle.loads(pickle.dumps(s)),
-        "deepcopy": copy.deepcopy,
-        "copy": copy.copy,
-    }[make](system)
-    assert kept_walk(twin) is None
-    assert_same_spectrum(solve_or_refusal(twin, bound), want)
-    assert kept_walk(twin) is not walked and kept_walk(system) is walked
