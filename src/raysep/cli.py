@@ -5,7 +5,8 @@ outputs under ``--out`` and exit with a stable code: 0 success, 2 config or
 dimension validation failure, 3 file I/O failure, 4 numerical failure.
 ``--seed`` overrides the config seed. ``bench`` alone takes ``--threads``
 (or the RAYSEP_THREADS environment variable): its worker threads, at most
-one per usable CPU.
+one per usable CPU. A thread count that is not a positive integer is a
+config error.
 
 Config schemas (unknown keys are rejected, paths in error messages):
 
@@ -125,6 +126,13 @@ def _as_number(v, field: str, allow_inf: bool = False) -> float:
     return float(v)
 
 
+def _numbers(v, field: str) -> np.ndarray:
+    """A JSON list of numbers, each checked as ``field[i]``."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{field}: expected a list of numbers")
+    return np.array([_as_number(x, f"{field}[{i}]") for i, x in enumerate(v)], dtype=float)
+
+
 def _integer(cfg: dict, path: str, key: str, default=None) -> int:
     if key not in cfg:
         if default is not None:
@@ -182,7 +190,7 @@ def _build_paths(cfg: dict, geometry: ArrayGeometry, path: str = "scenario") -> 
                 {"water_depth_m", "range_m", "source_depth_m", "num_paths"},
             )
             if "receiver_depths_m" in wg:
-                depths = np.asarray(wg["receiver_depths_m"], dtype=float)
+                depths = _numbers(wg["receiver_depths_m"], f"{path}.waveguide.receiver_depths_m")
             else:
                 top = _number(wg, f"{path}.waveguide", "receiver_top_depth_m")
                 depths = top + geometry.spacing_m * np.arange(geometry.num_sensors)
@@ -197,17 +205,22 @@ def _build_paths(cfg: dict, geometry: ArrayGeometry, path: str = "scenario") -> 
             return eigenray_angles(scenario, reference_index=geometry.reference_index)
         p = _expect_dict(cfg["paths"], f"{path}.paths")
         _check_keys(p, f"{path}.paths", {"angles_deg", "amplitudes", "delays_s"}, {"angles_deg"})
-        angles = np.asarray(p["angles_deg"], dtype=float)
+        angles = _numbers(p["angles_deg"], f"{path}.paths.angles_deg")
         if "amplitudes" in p:
-            amp_pairs = np.asarray(p["amplitudes"], dtype=float)
-            if amp_pairs.ndim != 2 or amp_pairs.shape != (angles.size, 2):
-                raise ConfigError(
-                    f"{path}.paths.amplitudes: expected {angles.size} [re, im] pairs"
-                )
+            field = f"{path}.paths.amplitudes"
+            pairs = p["amplitudes"]
+            if not isinstance(pairs, list) or len(pairs) != angles.size or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in pairs
+            ):
+                raise ConfigError(f"{field}: expected {angles.size} [re, im] pairs")
+            amp_pairs = np.array([_numbers(pair, f"{field}[{i}]") for i, pair in enumerate(pairs)])
             amps = amp_pairs[:, 0] + 1j * amp_pairs[:, 1]
         else:
             amps = np.ones(angles.size, dtype=complex)
-        delays = np.asarray(p.get("delays_s", np.zeros(angles.size)), dtype=float)
+        if "delays_s" in p:
+            delays = _numbers(p["delays_s"], f"{path}.paths.delays_s")
+        else:
+            delays = np.zeros(angles.size)
         return RaypathSet(angles_deg=angles, amplitudes=amps, delays_s=delays)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
@@ -388,6 +401,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    threads = _bench_threads(args.threads)
     cfg = _load_config(args.config)
     _check_keys(
         cfg, "config",
@@ -429,7 +443,7 @@ def _cmd_bench(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
-    report = run_experiment(plan, threads=args.threads)
+    report = run_experiment(plan, threads=threads)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,14 +454,22 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
+def _bench_threads(flag) -> int:
+    """Worker threads of ``bench``: ``--threads``, else RAYSEP_THREADS, else 1."""
+    if flag is not None:
+        if flag < 1:
+            raise ConfigError(f"--threads: expected a positive integer, got {flag}")
+        return flag
     env = os.environ.get("RAYSEP_THREADS")
     if env is None:
         return 1
     try:
-        return max(1, int(env))
+        threads = int(env)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"RAYSEP_THREADS: expected a positive integer, got {env!r}")
+    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--snapshots", required=True, help="snapshots CSV path")
         if name == "bench":
             p.add_argument(
-                "--threads", type=int, default=_default_threads(),
+                "--threads", type=int, default=None,
                 help="worker threads (default: RAYSEP_THREADS or 1)",
             )
     return parser

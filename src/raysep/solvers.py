@@ -26,7 +26,12 @@ and ends within one call.
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
 the working set (adopted when it lowers the objective) and a full
-stationarity sweep. The polish runs only on working sets with no more rows
+stationarity sweep. Each snapshot column is its own lasso, so a
+coordinate pass (``_cd_sweep``) moves each column's live entries only,
+the next live entry of every column in one step, and shows the zero
+entries stay zero by a bound on the column's movement, with an exact
+check of the few the bound leaves; its updates are those of a plain
+column-by-column loop. The polish runs only on working sets with no more rows
 than the array has sensors: above that, a column's support Gram can be
 singular, so the dense solve has no unique support solution. Penalty
 continuation (``_continue_penalty``), with warm-started steps of at most
@@ -48,6 +53,7 @@ import numpy as np
 from .arrays import AngleGrid, SteeringDictionary
 from .simulate import SnapshotMatrix
 from .spectral import SpectralMatrix
+from ._sweep import _WorkingSet, _cd_sweep
 from .subspace import LiftedSystem, SubspaceDecomposition
 
 __all__ = [
@@ -303,41 +309,6 @@ def _polish_complex(
     return out.T
 
 
-def _cd_sweep(a, a_h, r, x, order, lam_rows, col_norms_sq) -> float:
-    """One cyclic pass of exact coordinate updates over ``order``.
-
-    ``a_h`` is ``a.conj().T`` as a contiguous array. Updates ``x`` and the
-    residual ``r`` in place; returns the largest step relative to its
-    coordinate's threshold. Each update is a soft threshold of the
-    coordinate's correlation, written out inline: the per-coordinate cost is
-    numpy call overhead, not arithmetic.
-
-    A row that is zero when the pass starts changes only at its own visit.
-    While its correlation stays within its threshold, its update moves it
-    by exactly zero, so the update is skipped.
-    """
-    absolute, maximum, tiny = np.abs, np.maximum, _TINY
-    norms, lams = col_norms_sq.tolist(), lam_rows.tolist()
-    was_zero = (~x.any(axis=1))[order].tolist()
-    max_step = 0.0
-    for q, zero in zip(order, was_zero):
-        norm_q, lam_q = norms[q], lams[q]
-        corr = a_h[q] @ r
-        if zero and absolute(corr).max() <= lam_q:
-            continue
-        x_q = x[q]
-        u = corr + norm_q * x_q
-        mag = absolute(u)
-        xq_new = u * (maximum(mag - lam_q, 0.0) / maximum(mag, tiny)) / norm_q
-        delta = xq_new - x_q
-        step = float(absolute(delta).max())
-        if step > 0.0:
-            r -= a[:, q, None] * delta
-            x[q] = xq_new
-            max_step = max(max_step, step * norm_q / max(lam_q, tiny))
-    return max_step
-
-
 def _violation(a, r, x, lam_rows) -> np.ndarray:
     """Per-row stationarity violation, relative to the row's threshold."""
     corr = a.conj().T @ r
@@ -370,9 +341,10 @@ def _cd_lasso(
     """Working-set coordinate descent for a row-weighted complex lasso.
 
     Minimizes 0.5 * ||a x - b||^2 + sum_q lam_rows[q] * sum_l |x[q, l]|
-    over complex x of shape (K, L), with ``_cd_sweep`` as the inner pass,
-    ``_polish_complex`` as the dense polish of the nonzero rows and
-    ``_violation`` as the stationarity test.
+    over complex x of shape (K, L), with ``_cd_sweep`` as the inner pass
+    over the working set's rows, ``_polish_complex`` as the dense polish of
+    the nonzero rows and ``_violation`` as the stationarity test. x is zero
+    off the working set, so the objective's penalty is taken over its rows.
 
     The polish runs, and counts as a sweep, only when the nonzero rows are
     no more than the M sensors. A larger support gives rank-deficient
@@ -381,24 +353,26 @@ def _cd_lasso(
     away, so it is not run.
     """
     x = x0.copy()
-    r = b - a @ x
-    a_h = a.conj().T.copy()
+    r = (b - a @ x).T.copy()  # one row per snapshot column
 
     def objective(res, lam, coef):
         return 0.5 * float(np.linalg.norm(res) ** 2) + _penalty(lam, coef)
 
-    history = [objective(r, lam_rows, x)]
-    active = set(_support(x).tolist())
+    w = _support(x)
+    history = [objective(r, lam_rows[w], x[w])]
+    active = set(w.tolist())
     sweeps = 0
     for _ in range(_MAX_WORKING_SET_ROUNDS):
         # Exact solve on the working set.
-        order = sorted(active)
+        w = np.array(sorted(active), dtype=np.intp)
+        ws, x_w = _WorkingSet(a[:, w], col_norms_sq[w], lam_rows[w]), x[w]
         for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
             sweeps += 1
-            max_step = _cd_sweep(a, a_h, r, x, order, lam_rows, col_norms_sq)
-            history.append(objective(r, lam_rows, x))
+            max_step = _cd_sweep(ws, r, x_w)
+            history.append(objective(r, ws.lam, x_w))
             if max_step <= 0.1 * tol or sweeps >= max_sweeps:
                 break
+        x[w] = x_w
         # Dense polish on a working set the sensors can resolve; adopt only
         # on objective decrease.
         idx = _support(x)
@@ -406,7 +380,7 @@ def _cd_lasso(
             sweeps += 1
             a_sub = a[:, idx]
             x_cand = _polish_complex(a_sub, b, lam_rows[idx], x[idx])
-            r_cand = b - a_sub @ x_cand
+            r_cand = (b - a_sub @ x_cand).T.copy()
             f_cand = objective(r_cand, lam_rows[idx], x_cand)
             if f_cand <= history[-1]:
                 x[:] = 0
@@ -415,7 +389,7 @@ def _cd_lasso(
                 history.append(f_cand)
         active = set(_support(x).tolist())
         # Full stationarity pass; admit violating coordinates.
-        rel = _violation(a, r, x, lam_rows)
+        rel = _violation(a, r.T, x, lam_rows)
         kkt = float(np.max(rel))
         if kkt <= tol or sweeps >= max_sweeps:
             break

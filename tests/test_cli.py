@@ -246,19 +246,49 @@ def test_estimate_infeasible_subspace_bound_is_numerical_failure(tmp_path, capsy
 
 
 def test_threads_env_fallback(monkeypatch):
-    from raysep.cli import build_parser
+    from raysep.cli import _bench_threads, build_parser
 
+    # the parser leaves the count to bench, which reads RAYSEP_THREADS
     monkeypatch.setenv("RAYSEP_THREADS", "7")
     args = build_parser().parse_args(["bench", "--config", "x", "--out", "y"])
-    assert args.threads == 7
-    monkeypatch.setenv("RAYSEP_THREADS", "junk")
-    args = build_parser().parse_args(["bench", "--config", "x", "--out", "y"])
-    assert args.threads == 1
+    assert args.threads is None
+    assert _bench_threads(args.threads) == 7
     monkeypatch.delenv("RAYSEP_THREADS")
+    assert _bench_threads(None) == 1
     args = build_parser().parse_args(
         ["bench", "--config", "x", "--out", "y", "--threads", "3"]
     )
-    assert args.threads == 3
+    assert _bench_threads(args.threads) == 3
+
+
+@pytest.mark.parametrize("flag", ["0", "-3"])
+def test_bench_threads_flag_below_one_is_a_config_error(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path / "bench.json", bench_config())
+    code = main(["bench", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", flag])
+    assert code == 2
+    assert f"--threads: expected a positive integer, got {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bench_threads_env_that_is_not_a_positive_integer_is_a_config_error(
+    tmp_path, capsys, monkeypatch, value
+):
+    cfg = write_config(tmp_path / "bench.json", bench_config())
+    monkeypatch.setenv("RAYSEP_THREADS", value)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"RAYSEP_THREADS: expected a positive integer, got {value!r}" in capsys.readouterr().err
+    # the flag, when given, is the count, and the variable is not read
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
+
+
+def test_simulate_and_estimate_do_not_read_the_threads_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("RAYSEP_THREADS", "abc")
+    sim = write_config(tmp_path / "sim.json", simulate_config())
+    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
+    est = write_config(tmp_path / "est.json", estimate_config(algorithms=["music"]))
+    assert main(["estimate", "--config", est, "--snapshots",
+                 str(tmp_path / "data" / "snapshots.csv"), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command", [
@@ -321,3 +351,32 @@ def test_bench_snr_list_accepts_infinity_as_noise_snr_does(tmp_path):
     out = tmp_path / "out"
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["snr_db"] == [np.inf, np.inf]
+
+
+@pytest.mark.parametrize("kind", ["null", "bool", "string"])
+@pytest.mark.parametrize(
+    "key, field",
+    [
+        ("angles_deg", "scenario.paths.angles_deg[0]"),
+        ("amplitudes", "scenario.paths.amplitudes[0][0]"),
+        ("delays_s", "scenario.paths.delays_s[0]"),
+        ("receiver_depths_m", "scenario.waveguide.receiver_depths_m[0]"),
+    ],
+)
+def test_simulate_path_list_entry_that_is_not_a_number_is_a_config_error(
+    tmp_path, capsys, key, field, kind
+):
+    bad = {"null": None, "bool": True, "string": "deep"}[kind]
+    cfg = simulate_config()
+    if key == "receiver_depths_m":
+        cfg["scenario"] = {"waveguide": {
+            "water_depth_m": 100.0, "range_m": 2000.0, "source_depth_m": 50.0,
+            "num_paths": 3, "receiver_depths_m": [bad] + [40.0 + 0.5 * i for i in range(1, 8)],
+        }}
+    elif key == "amplitudes":
+        cfg["scenario"]["paths"][key] = [[bad, 0.0], [1.0, 0.0]]
+    else:
+        cfg["scenario"]["paths"][key][0] = bad
+    path = write_config(tmp_path / "sim.json", cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"{field}: expected a number, got {bad!r}" in capsys.readouterr().err

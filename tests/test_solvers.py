@@ -37,6 +37,7 @@ from raysep import (
     synthesize_broadband,
     synthesize_snapshots,
 )
+import raysep._sweep
 import raysep.solvers
 from raysep.solvers import _polish_complex
 
@@ -605,6 +606,16 @@ def table1_scene(num_snapshots: int, noise_seed: int):
     return d, snap
 
 
+def lean_sweep(a, r, x, order, lam_rows, norms):
+    """raysep's sweep over the rows ``order``, on a (M, L) residual and the full x."""
+    ws = raysep._sweep._WorkingSet(a[:, order], norms[order], lam_rows[order])
+    r_t, x_w = r.T.copy(), x[order]
+    step = raysep._sweep._cd_sweep(ws, r_t, x_w)
+    r[:] = r_t.T
+    x[order] = x_w
+    return step
+
+
 def dense_lasso_state(num_snapshots=20, noise_seed=3):
     """Five coordinate sweeps from zero over all 101 rows at a tenth of lam_max.
 
@@ -618,9 +629,8 @@ def dense_lasso_state(num_snapshots=20, noise_seed=3):
     norms = np.sum(np.abs(a) ** 2, axis=0)
     x = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
     r = b.copy()
-    a_h = a.conj().T.copy()
     for _ in range(5):
-        raysep.solvers._cd_sweep(a, a_h, r, x, list(range(a.shape[1])), lam_rows, norms)
+        lean_sweep(a, r, x, list(range(a.shape[1])), lam_rows, norms)
     return a, b, lam_rows, norms, x, r
 
 
@@ -686,61 +696,92 @@ def reference_soft_threshold(v, threshold):
 
 
 def reference_cd_sweep(a, r, x, order, lam_rows, col_norms_sq):
-    """One cyclic pass of exact coordinate updates, written plainly.
+    """One cyclic pass of exact coordinate updates, one snapshot column at a time.
 
-    The lean sweep in raysep.solvers must do exactly this arithmetic.
+    Written plainly: each column visits the rows of ``order`` in turn and
+    skips a zero entry whose correlation is within its threshold. The sweep
+    in raysep.solvers must do exactly this arithmetic: the correlation is
+    np.vecdot of the atom with the column's residual, both contiguous.
     """
+    tiny = np.finfo(float).tiny
     max_step = 0.0
-    for q in order:
-        aq = a[:, q]
-        u = aq.conj() @ r + col_norms_sq[q] * x[q]
-        xq_new = reference_soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
-        delta = xq_new - x[q]
-        step = float(np.max(np.abs(delta)))
-        if step > 0.0:
-            r -= np.outer(aq, delta)
-            x[q] = xq_new
-            max_step = max(
-                max_step, step * col_norms_sq[q] / max(lam_rows[q], np.finfo(float).tiny)
-            )
+    for col in range(x.shape[1]):
+        res = r[:, col].copy()
+        for q in order:
+            aq = a[:, q].copy()
+            xq = x[q, col:col + 1]
+            u = np.vecdot(aq, res) + col_norms_sq[q] * xq
+            mag = np.abs(u)
+            if xq[0] == 0 and mag[0] <= lam_rows[q]:
+                continue
+            new = reference_soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
+            delta = new - xq
+            step = float(np.abs(delta)[0])
+            if step > 0.0:
+                res -= aq * delta
+                x[q, col] = new[0]
+                max_step = max(max_step, step * col_norms_sq[q] / max(lam_rows[q], tiny))
+        r[:, col] = res
     return max_step
 
 
+@pytest.fixture
+def sweep_forms(monkeypatch):
+    """Counts the passes that ran row by row and those that ran column by column."""
+    seen = {"rows": 0, "columns": 0}
+    rows, steps = raysep._sweep._cd_rows, raysep._sweep._cd_steps
+
+    def by_rows(*args):
+        seen["rows"] += 1
+        return rows(*args)
+
+    def by_columns(*args):
+        seen["columns"] += 1
+        return steps(*args)
+
+    monkeypatch.setattr(raysep._sweep, "_cd_rows", by_rows)
+    monkeypatch.setattr(raysep._sweep, "_cd_steps", by_columns)
+    return seen
+
+
 @pytest.mark.parametrize("num_snapshots, noise_seed", [(20, 3), (1, 5)])
-def test_cd_sweep_matches_the_plain_loop_bit_for_bit(num_snapshots, noise_seed):
+def test_cd_sweep_matches_the_plain_loop_bit_for_bit(num_snapshots, noise_seed, sweep_forms):
+    # From the dense state, over all rows and over every third row: at its
+    # own thresholds the columns are too dense to sweep but row by row; at
+    # six times them they thin out, and the sweep goes by column.
     a, _, lam_rows, norms, x0, r0 = dense_lasso_state(num_snapshots, noise_seed)
     assert np.count_nonzero(np.any(x0 != 0, axis=1)) > 11
-    a_h = a.conj().T.copy()
-    order = list(range(a.shape[1]))
     x_lean, r_lean = x0.copy(), r0.copy()
     x_ref, r_ref = x0.copy(), r0.copy()
-    for _ in range(5):
-        step_lean = raysep.solvers._cd_sweep(a, a_h, r_lean, x_lean, order, lam_rows, norms)
-        step_ref = reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
-        np.testing.assert_array_equal(x_lean, x_ref)
-        np.testing.assert_array_equal(r_lean, r_ref)
-        assert step_lean == step_ref
+    for scale in (1.0, 6.0):
+        for order in (list(range(a.shape[1])), list(range(0, a.shape[1], 3))):
+            for _ in range(3):
+                step_lean = lean_sweep(a, r_lean, x_lean, order, scale * lam_rows, norms)
+                step_ref = reference_cd_sweep(a, r_ref, x_ref, order, scale * lam_rows, norms)
+                np.testing.assert_array_equal(x_lean, x_ref)
+                np.testing.assert_array_equal(r_lean, r_ref)
+                assert step_lean == step_ref
+    assert sweep_forms["rows"] > 0 and sweep_forms["columns"] > 0
 
 
 @pytest.mark.parametrize("num_snapshots, noise_seed", [(20, 3), (1, 5)])
 def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
-    num_snapshots, noise_seed
+    num_snapshots, noise_seed, sweep_forms
 ):
     # Warm starts as a working set makes them: sweeps over the five most
     # correlated rows leave the other rows zero. Over all rows, at unequal
-    # thresholds, some zero rows enter and the others stay zero, and the
-    # lean sweep skips their update.
+    # thresholds, some zero entries enter and the others stay zero, and the
+    # sweep goes by column.
     d, snap = table1_scene(num_snapshots, noise_seed)
     a, b = d.matrix, snap.data
-    a_h = a.conj().T.copy()
     norms = np.sum(np.abs(a) ** 2, axis=0)
-    corr = np.max(np.abs(a_h @ b), axis=1)
+    corr = np.max(np.abs(a.conj().T @ b), axis=1)
     lam_max = float(corr.max())
     x0 = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
     r0 = b.copy()
     start = sorted(np.argsort(-corr)[:5].tolist())
     for _ in range(3):
-        raysep.solvers._cd_sweep(a, a_h, r0, x0, start, np.full(a.shape[1], 0.3 * lam_max), norms)
+        lean_sweep(a, r0, x0, start, np.full(a.shape[1], 0.3 * lam_max), norms)
     zero0 = ~np.any(x0 != 0, axis=1)
     assert 0 < np.count_nonzero(~zero0) <= 5
     order = list(range(a.shape[1]))
@@ -751,7 +792,7 @@ def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
         x_lean, r_lean = x0.copy(), r0.copy()
         x_ref, r_ref = x0.copy(), r0.copy()
         for _ in range(3):
-            step_lean = raysep.solvers._cd_sweep(a, a_h, r_lean, x_lean, order, lam_rows, norms)
+            step_lean = lean_sweep(a, r_lean, x_lean, order, lam_rows, norms)
             step_ref = reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
             np.testing.assert_array_equal(x_lean, x_ref)
             np.testing.assert_array_equal(r_lean, r_ref)
@@ -760,6 +801,69 @@ def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
         entered += np.count_nonzero(zero0 & nonzero)
         stayed += np.count_nonzero(zero0 & ~nonzero)
     assert entered > 0 and stayed > 0
+    assert sweep_forms["columns"] > 0
+
+
+def test_cd_sweep_lets_in_an_entry_that_crosses_its_threshold_mid_sweep(sweep_forms):
+    # An entry that is zero and within its threshold when the sweep starts,
+    # but whose column's earlier updates push its correlation over the
+    # threshold before its visit, enters at its visit, in the same sweep:
+    # its column is swept again with it live (the column steps run more
+    # than once in that sweep), and matches the plain loop.
+    d, snap = table1_scene(20, 3)
+    a, b = d.matrix, snap.data
+    norms = np.sum(np.abs(a) ** 2, axis=0)
+    lam_max = float(np.max(np.abs(a.conj().T @ b)))
+    lam_rows = 0.3 * lam_max * np.random.default_rng(3).uniform(0.5, 2.0, a.shape[1])
+    x, r = np.zeros((a.shape[1], b.shape[1]), dtype=complex), b.copy()
+    order = list(range(a.shape[1]))
+    lean_sweep(a, r, x, sorted(np.argsort(-np.abs(a.conj().T @ b).max(axis=1))[:5].tolist()),
+               lam_rows, norms)
+    crossed = 0
+    for _ in range(4):
+        zero = x == 0
+        within = np.abs(a.conj().T @ r) <= 0.999 * lam_rows[:, None]
+        x_ref, r_ref = x.copy(), r.copy()
+        runs = sweep_forms["columns"]
+        step = lean_sweep(a, r, x, order, lam_rows, norms)
+        assert step == reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(r, r_ref)
+        if sweep_forms["columns"] - runs > 1:
+            crossed += np.count_nonzero(zero & within & (x != 0))
+    assert crossed > 0
+
+
+def test_cd_sweeps_take_at_most_half_a_step_per_working_set_row(monkeypatch):
+    # The 0 dB, 20-snapshot scene with the bench's settings: the snapshot
+    # columns are swept by their live entries, so the passes take at most
+    # half as many steps as a row-by-row pass over the working sets would.
+    d, snap = table1_scene(20, 3)
+    eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
+    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
+                       max_reweight_iters=6)
+    count = {"rows": 0, "steps": 0}
+    sweep, steps, rows = raysep.solvers._cd_sweep, raysep._sweep._cd_steps, raysep._sweep._cd_rows
+
+    def counted_sweep(ws, r, x):
+        count["rows"] += x.shape[0]
+        return sweep(ws, r, x)
+
+    def counted_steps(a_t, res, xs, batches, moves):
+        batches = list(batches)
+        count["steps"] += len(batches)
+        return steps(a_t, res, xs, batches, moves)
+
+    def counted_rows(ws, r, x, zero_rows):
+        count["steps"] += x.shape[0]
+        return rows(ws, r, x, zero_rows)
+
+    monkeypatch.setattr(raysep.solvers, "_cd_sweep", counted_sweep)
+    monkeypatch.setattr(raysep._sweep, "_cd_steps", counted_steps)
+    monkeypatch.setattr(raysep._sweep, "_cd_rows", counted_rows)
+    reweighted_cs(d, snap, cfg)
+    assert count["rows"] > 0
+    assert count["steps"] <= 0.5 * count["rows"]
 
 
 def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
