@@ -18,7 +18,7 @@ import numpy as np
 
 from .arrays import AngleGrid, ArrayGeometry, RaypathSet, build_dictionary
 from .baselines import cbf_spectrum, music_spectrum
-from .simulate import NoiseSpec, synthesize_broadband
+from .simulate import NoiseSpec, _check_signal, synthesize_broadband
 from .solvers import (
     SolverConfig,
     SolverInfeasibleError,
@@ -201,8 +201,11 @@ class EstimatorSettings:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if len(self.algorithms) == 0:
             raise ValueError("algorithms must not be empty")
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be at least 1")
+        m = self.geometry.num_sensors
+        if not 1 <= self.num_paths < m:
+            raise ValueError(
+                f"num_paths must satisfy 1 <= num_paths < {m} sensors, got {self.num_paths}"
+            )
 
 
 class _TrialData:
@@ -347,6 +350,7 @@ class ExperimentPlan:
         if len(self.snr_list) == 0:
             raise ValueError("snr_list must not be empty")
         self.estimator_settings()  # validates algorithms and num_paths
+        _check_signal(self.band_hz, self.num_bins, self.num_snapshots, self.coherence)
 
     @property
     def focus_frequency_hz(self) -> float:

@@ -8,7 +8,10 @@ dimension validation failure, 3 file I/O failure, 4 numerical failure.
 one per usable CPU. A thread count that is not a positive integer is a
 config error.
 
-Config schemas (unknown keys are rejected, paths in error messages):
+Config schemas (unknown keys are rejected, paths in error messages;
+``music_smoothing`` and ``subspace_retry`` take JSON true or false only, and
+a signal that cannot be synthesized or as many paths as sensors is a config
+error):
 
 simulate::
 
@@ -79,7 +82,13 @@ from .fileio import (
     write_spectrum_csv,
     write_truth_json,
 )
-from .simulate import NoiseSpec, WaveguideScenario, eigenray_angles, synthesize_broadband
+from .simulate import (
+    NoiseSpec,
+    WaveguideScenario,
+    _check_signal,
+    eigenray_angles,
+    synthesize_broadband,
+)
 from .solvers import SolverConfig, SolverInfeasibleError
 from .spectral import FocusingError
 
@@ -124,6 +133,13 @@ def _as_number(v, field: str, allow_inf: bool = False) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {v!r}")
     return float(v)
+
+
+def _boolean(cfg: dict, path: str, key: str, default: bool) -> bool:
+    v = cfg.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{path}.{key}: expected true or false, got {v!r}")
+    return v
 
 
 def _numbers(v, field: str) -> np.ndarray:
@@ -250,11 +266,16 @@ def _build_signal(cfg: dict, path: str = "signal"):
     coherence = cfg.get("coherence", "coherent")
     if isinstance(coherence, (int, float)) and not isinstance(coherence, bool):
         coherence = float(coherence)
-    elif coherence not in ("coherent", "incoherent"):
+    elif not isinstance(coherence, str):
         raise ConfigError(
             f"{path}.coherence: expected 'coherent', 'incoherent' or a number"
         )
-    return band, num_bins, _integer(cfg, path, "num_snapshots"), coherence
+    num_snapshots = _integer(cfg, path, "num_snapshots")
+    try:
+        _check_signal(band, num_bins, num_snapshots, coherence)
+    except ValueError as e:
+        raise ConfigError(f"{path}.{e}") from e
+    return band, num_bins, num_snapshots, coherence
 
 
 def _build_solver(cfg: dict, path: str = "solver") -> SolverConfig:
@@ -369,12 +390,12 @@ def _cmd_estimate(args) -> int:
             algorithms=_build_algorithms(cfg, "config"),
             focus_frequency_hz=None if cfg.get("focus_frequency_hz") is None
             else _number(cfg, "config", "focus_frequency_hz"),
-            music_smoothing=bool(cfg.get("music_smoothing", False)),
+            music_smoothing=_boolean(cfg, "config", "music_smoothing", False),
             epsilon=None if cfg.get("epsilon") is None
             else _number(cfg, "config", "epsilon"),
             epsilon_factor=_number(cfg, "config", "epsilon_factor", default=1.1),
             delta_factor=_number(cfg, "config", "delta_factor", default=1.5),
-            subspace_retry=bool(cfg.get("subspace_retry", True)),
+            subspace_retry=_boolean(cfg, "config", "subspace_retry", True),
             solver=_build_solver(cfg.get("solver")),
         )
     except ValueError as e:
@@ -434,10 +455,10 @@ def _cmd_bench(args) -> int:
             num_snapshots=num_snapshots,
             coherence=coherence,
             match_window_deg=_number(cfg, "config", "match_window_deg", default=3.0),
-            music_smoothing=bool(cfg.get("music_smoothing", False)),
+            music_smoothing=_boolean(cfg, "config", "music_smoothing", False),
             epsilon_factor=_number(cfg, "config", "epsilon_factor", default=1.1),
             delta_factor=_number(cfg, "config", "delta_factor", default=1.5),
-            subspace_retry=bool(cfg.get("subspace_retry", True)),
+            subspace_retry=_boolean(cfg, "config", "subspace_retry", True),
             solver=_build_solver(cfg.get("solver")),
         )
     except ValueError as e:

@@ -201,6 +201,31 @@ def eigenray_angles(
     )
 
 
+def _check_signal(
+    band_hz: tuple[float, float], num_bins: int, num_snapshots: int, coherence: str | float
+) -> np.ndarray:
+    """The bin frequencies of a signal's settings, once they are checked.
+
+    Raises:
+        ValueError: Naming the first setting that cannot be synthesized.
+    """
+    lo, hi = float(band_hz[0]), float(band_hz[1])
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be at least 1, got {num_bins}")
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"band_hz must satisfy 0 < low <= high, got ({lo}, {hi})")
+    if num_snapshots < 1:
+        raise ValueError(f"num_snapshots must be at least 1, got {num_snapshots}")
+    if isinstance(coherence, str):
+        if coherence not in ("coherent", "incoherent"):
+            raise ValueError(f"coherence must be 'coherent' or 'incoherent', got {coherence!r}")
+    elif not 0.0 <= float(coherence) <= 1.0:
+        raise ValueError(f"coherence must lie in [0, 1], got {coherence}")
+    if num_bins == 1:
+        return np.array([0.5 * (lo + hi)])
+    return np.linspace(lo, hi, num_bins)
+
+
 def _amplitude_draws(
     paths: RaypathSet,
     num_snapshots: int,
@@ -212,20 +237,17 @@ def _amplitude_draws(
     ``"coherent"`` keeps every snapshot at the nominal amplitudes;
     ``"incoherent"`` draws independent unit-variance complex Gaussians per
     path and snapshot; a float in [0, 1] mixes a common snapshot factor
-    with independent ones at that correlation coefficient.
+    with independent ones at that correlation coefficient. ``coherence``
+    is one that ``_check_signal`` accepts.
     """
     p, l = paths.num_paths, num_snapshots
     base = paths.amplitudes[:, None]
-    if isinstance(coherence, str):
-        if coherence == "coherent":
-            return np.broadcast_to(base, (p, l)).copy()
-        if coherence == "incoherent":
-            draws = (rng.standard_normal((p, l)) + 1j * rng.standard_normal((p, l)))
-            return base * draws / np.sqrt(2.0)
-        raise ValueError(f"unknown coherence mode {coherence!r}")
+    if coherence == "coherent":
+        return np.broadcast_to(base, (p, l)).copy()
+    if coherence == "incoherent":
+        draws = (rng.standard_normal((p, l)) + 1j * rng.standard_normal((p, l)))
+        return base * draws / np.sqrt(2.0)
     rho = float(coherence)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"correlation coefficient must lie in [0, 1], got {rho}")
     common = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2.0)
     own = (rng.standard_normal((p, l)) + 1j * rng.standard_normal((p, l))) / np.sqrt(2.0)
     return base * (np.sqrt(rho) * common[None, :] + np.sqrt(1.0 - rho) * own)
@@ -269,18 +291,7 @@ def synthesize_broadband(
         formed in blocks of consecutive bins, and each bin's data is a
         read-only view into its block.
     """
-    lo, hi = float(band_hz[0]), float(band_hz[1])
-    if num_bins < 1:
-        raise ValueError("num_bins must be at least 1")
-    if lo <= 0 or hi < lo:
-        raise ValueError(f"invalid frequency band ({lo}, {hi})")
-    if num_bins == 1:
-        freqs = np.array([0.5 * (lo + hi)])
-    else:
-        freqs = np.linspace(lo, hi, num_bins)
-    if num_snapshots < 1:
-        raise ValueError("num_snapshots must be at least 1")
-
+    freqs = _check_signal(band_hz, num_bins, num_snapshots, coherence)
     angles = paths.angles_deg
     outside = ~((angles >= -90.0) & (angles <= 90.0))
     if np.any(outside):

@@ -20,8 +20,8 @@ met at 1.1 x that floor by the point of the same walk. What a segment
 computes from the lifted matrix alone (the Gram, and per passive set its
 solve, rate and move) is kept in a memo (``_PathMemo``) that the
 ``LiftedSystem`` owns, so it lives as long as the system and the systems
-made from it by ``_with_vector``. The walk itself (``_PathWalk``) lives
-and ends within one call.
+made from it by ``_with_vector``. The walk itself is one loop in
+``_nonneg_path`` and lives and ends within one call.
 
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
@@ -648,75 +648,57 @@ def _path_direction(memo: _PathMemo, free, tied, log: _SearchLog):
     return d, passive, passive.nonzero()[0], None
 
 
-class _Breakpoint:
-    """Where a segment of the path starts, and what its stop test needs.
+def _nonneg_path(
+    a, b, bound: float, log: _SearchLog, memo: _PathMemo, retry: bool = False
+) -> _InnerResult:
+    """Nonnegative lasso homotopy down to ``_PATH_AIM * bound``.
 
-    ``x`` and ``lam`` are the solution and level at the start, ``r`` the
-    residual there and ``residual`` its norm; the segment moves x[idx] by
-    s * d and r by -s * u for s up to ``t``.
+    The solution of min 0.5 ||b - a p||^2 + lam * sum(p) over real p >= 0
+    is piecewise linear in lam (Osborne, Presnell & Turlach 2000). The path
+    runs in the Gram domain, G = Re(aᴴa) and c = Re(aᴴb), from p = 0 at
+    lam = max(c) down to lam = 0, one segment per pass of the loop: at a
+    breakpoint ``_path_direction`` gives the segment, which ends where a
+    positive entry reaches zero, an inactive correlation c - G x reaches
+    the level, or the level reaches zero. The residual stays in the data
+    domain: along a segment it is r - t u, u = a d, so the point where its
+    norm reaches the aim is the smaller root of a quadratic. ``memo``, the
+    path memo of ``a``, holds the Gram and each segment's part that does
+    not depend on ``b``; ``log`` counts the walk.
+
+    Only the stop test ||r - t u|| <= aim depends on the bound, so every
+    walked segment is kept (``walked``) with that norm: a looser aim is met
+    by scanning the kept norms, without walking again.
+
+    The end at lam = 0 is the nonnegative least-squares optimum (Lawson &
+    Hanson 1974), the smallest residual any p >= 0 reaches (the floor); it
+    is returned when it is within ``bound``. Above it, with ``retry``, the
+    result is the same walk's point at ``_RETRY_FACTOR`` x the floor (the
+    zero solution if that covers b), with that bound as ``retry_bound``.
+
+    Raises:
+        SolverInfeasibleError: If the path ends above ``bound`` and
+            ``retry`` is False, with that end's residual as
+            ``min_residual``.
     """
-
-    __slots__ = ("x", "lam", "residual", "r", "idx", "d", "t", "u")
-
-    def __init__(self, x, lam, residual, r, idx, d, t, u):
-        self.x, self.lam, self.residual, self.r = x, lam, residual, r
-        self.idx, self.d, self.t, self.u = idx, d, t, u
-
-
-class _PathWalk:
-    """The nonnegative lasso path of one matrix and vector, as far as it has gone.
-
-    Nothing a segment computes depends on the residual bound; only the stop
-    test ||r - t u|| <= aim does. So the walk keeps every breakpoint it has
-    passed (``breaks``, ``history``) with its stop-test norm (``stops``),
-    and the state at the next one (``x``, ``lam``, ``event``): a second,
-    looser aim, such as a retry's, is met by scanning the kept norms. Its
-    work is counted in ``log``.
-    """
-
-    def __init__(self, a, b, memo: _PathMemo, log: _SearchLog):
-        self.a, self.b, self.memo, self.log = a, b, memo, log
-        self.c = (a.conj().T @ b).real
-        self.lam_max = float(np.max(self.c))
-        self.tie = _TIE_REL * max(self.lam_max, _TINY)
-        self.cap = _PATH_SEGMENTS_PER_ATOM * self.c.size
-        self.x, self.lam, self.event = np.zeros(self.c.size), self.lam_max, -1
-        self.breaks, self.history, self.stops = [], [], []
-
-    def stop_for(self, aim: float):
-        """Index of the first breakpoint whose segment reaches ``aim``.
-
-        Walks on past the kept breakpoints only if none does; None if the
-        path ends first.
-        """
-        for k, norm in enumerate(self.stops):
-            if norm <= aim:
-                return k
-        while self.lam > 0.0 and len(self.breaks) < self.cap:
-            if self._step() <= aim:
-                return len(self.breaks) - 1
-        return None
-
-    def _step(self) -> float:
-        """Walk the segment from the next breakpoint; returns its stop-test norm.
-
-        At the breakpoint ``_path_direction`` gives the segment, which ends
-        where a positive entry reaches zero, an inactive correlation
-        c - G x reaches the level, or the level reaches zero.
-        """
-        a, gram, c, log = self.a, self.memo.gram, self.c, self.log
-        x, lam = self.x, self.lam
+    gram = memo.gram
+    c = (a.conj().T @ b).real
+    lam_max = lam = float(np.max(c))
+    tie = _TIE_REL * max(lam_max, _TINY)
+    aim, retry_bound = _PATH_AIM * bound, None
+    x, event, k = np.zeros(c.size), -1, None
+    walked, history = [], []  # per segment: (stop norm, x, lam, residual, r, idx, d, t, u)
+    while lam > 0.0 and len(walked) < _PATH_SEGMENTS_PER_ATOM * c.size:
         pos = x > 0.0
         on = pos.nonzero()[0]
         x_on = x[on]
-        r = self.b - a[:, on] @ x_on
+        r = b - a[:, on] @ x_on
         residual = _norm(r)
         grad = c - gram[:, on] @ x_on
-        self.history.append(0.5 * residual**2 + lam * float(x.sum()))
-        tied = (x == 0.0) & (grad >= lam - self.tie)
-        if self.event >= 0:
-            tied[self.event] = True  # the entry that ended the last segment
-        d, passive, idx, seg = _path_direction(self.memo, pos, tied, log)
+        history.append(0.5 * residual**2 + lam * float(x.sum()))
+        tied = (x == 0.0) & (grad >= lam - tie)
+        if event >= 0:
+            tied[event] = True  # the entry that ended the last segment
+        d, passive, idx, seg = _path_direction(memo, pos, tied, log)
         log.inner_solves += 1
         log.peak_support = max(log.peak_support, int(idx.size))
         d = d[idx]
@@ -731,47 +713,18 @@ class _PathWalk:
         event = int(ratios.argmin())
         t = min(float(ratios[event]), lam)
         u = seg.move(a, idx) if seg is not None else a[:, idx] @ d
-        self.breaks.append(_Breakpoint(x, lam, residual, r, idx, d, t, u))
         stop = _norm(r - t * u)
-        self.stops.append(stop)
+        walked.append((stop, x, lam, residual, r, idx, d, t, u))
+        if stop <= aim:
+            k = len(walked) - 1
+            break
         x = x.copy()
         x[idx] = np.maximum(x[idx] + t * d, 0.0)
         if t < lam:
             x[event] = 0.0
-        self.x, self.lam, self.event = x, lam - t if t < lam else 0.0, event
-        return stop
+        lam = lam - t if t < lam else 0.0
 
-
-def _nonneg_path(
-    a, b, bound: float, log: _SearchLog, memo: _PathMemo, retry: bool = False
-) -> _InnerResult:
-    """Nonnegative lasso homotopy down to ``_PATH_AIM * bound``.
-
-    The solution of min 0.5 ||b - a p||^2 + lam * sum(p) over real p >= 0
-    is piecewise linear in lam (Osborne, Presnell & Turlach 2000). The path
-    runs in the Gram domain, G = Re(aᴴa) and c = Re(aᴴb), from p = 0 at
-    lam = max(c) down to lam = 0, segment by segment (``_PathWalk``). The
-    residual stays in the data domain: along a segment it is r - t a d, so
-    the point where its norm reaches the aim is the smaller root of a
-    quadratic. ``memo``, the path memo of ``a``, holds the Gram and each
-    segment's part that does not depend on ``b``; ``log`` counts the walk.
-
-    The end at lam = 0 is the nonnegative least-squares optimum (Lawson &
-    Hanson 1974), the smallest residual any p >= 0 reaches (the floor); it
-    is returned when it is within ``bound``. Above it, with ``retry``, the
-    result is the same walk's point at ``_RETRY_FACTOR`` x the floor (the
-    zero solution if that covers b), with that bound as ``retry_bound``.
-
-    Raises:
-        SolverInfeasibleError: If the path ends above ``bound`` and
-            ``retry`` is False, with that end's residual as
-            ``min_residual``.
-    """
-    walk = _PathWalk(a, b, memo, log)
-    aim, retry_bound = _PATH_AIM * bound, None
-    k = walk.stop_for(aim)
     if k is None:
-        x, lam, segments = walk.x, walk.lam, len(walk.breaks)
         on = np.flatnonzero(x > 0.0)
         residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
         if lam <= 0.0 and residual > bound:
@@ -784,28 +737,28 @@ def _nonneg_path(
                 # the zero solution meets it, as subspace_cs reports a loose bound
                 return _InnerResult(np.zeros(x.size), data_norm, 0.0, 0, [0.0], retry_bound)
             aim = _PATH_AIM * retry_bound
-            k = walk.stop_for(aim)
+            k = next((j for j, kept in enumerate(walked) if kept[0] <= aim), None)
+    segments = len(walked)
     if k is not None:
-        brk, segments = walk.breaks[k], k + 1
-        r, u = brk.r, brk.u
+        _, x, lam, start, r, idx, d, t, u = walked[k]
+        segments = k + 1
         # smaller root of ||r - s u||^2 = aim^2, in a form free of cancellation:
         # the discriminant ru^2 - uu * gap is uu * (aim^2 - p^2), with p the
         # part of r orthogonal to u, which stays accurate near exact fit
-        gap = brk.residual**2 - aim**2
+        gap = start**2 - aim**2
         ru, uu = float(np.vdot(u, r).real), float(np.vdot(u, u).real)
         p = _norm(r - (ru / uu) * u)
-        s = min(gap / (ru + np.sqrt(max(uu * (aim - p) * (aim + p), 0.0))), brk.t)
-        x = brk.x.copy()
-        x[brk.idx] += s * brk.d
-        lam = brk.lam - s
+        s = min(gap / (ru + np.sqrt(max(uu * (aim - p) * (aim + p), 0.0))), t)
+        x[idx] += s * d  # the kept x is this call's own
+        lam -= s
         on = np.flatnonzero(x > 0.0)
         residual = float(np.linalg.norm(b - a[:, on] @ x[on]))
 
-    history = walk.history[:segments]
+    history = history[:segments]
     history.append(0.5 * residual**2 + lam * float(np.sum(x)))
-    grad = walk.c - memo.gram[:, on] @ x[on]
+    grad = c - gram[:, on] @ x[on]
     excess = np.where(x > 0.0, np.abs(grad - lam), np.maximum(grad - lam, 0.0))
-    kkt = float(np.max(excess)) / (lam if lam > 0.0 else walk.lam_max)
+    kkt = float(np.max(excess)) / (lam if lam > 0.0 else lam_max)
     return _InnerResult(x, residual, kkt, segments, history, retry_bound)
 
 

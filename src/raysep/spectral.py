@@ -14,8 +14,7 @@ and keeps them; the per-bin work runs on (B, M, M) stacks.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,40 +138,25 @@ def focusing_transform(
 
 # Focusing transforms depend only on the bin frequencies, the focus, the
 # grid and the geometry, which a Monte-Carlo plan fixes for all of its
-# cells; this memo holds the last few sets, keyed by value.
-_FOCUSING_MEMO_SIZE = 8
-_focusing_memo: OrderedDict = OrderedDict()
-_focusing_memo_lock = threading.Lock()
-
-
+# cells; the cache holds the last few sets, keyed by value (an AngleGrid
+# hashes and compares by its angles, an ArrayGeometry by its fields).
+@functools.lru_cache(maxsize=8)
 def _focusing_stacks(
     freqs: tuple, focus_frequency_hz: float, grid: AngleGrid, geometry: ArrayGeometry
 ) -> tuple:
     """Read-only stacks T and Tᴴ, shape (B, M, M), mapping each of ``freqs`` to the focus.
 
-    A miss calls ``focusing_transform`` once per frequency, under the lock,
-    so a second thread waits for the set instead of computing it again; a
-    FocusingError propagates and nothing is stored, so the next call raises
-    again. Tᴴ is the conjugate-transpose view of a contiguous conjugate,
-    laid out as ``t.conj().T`` is for one bin.
+    A miss calls ``focusing_transform`` once per frequency; two threads that
+    miss at once both compute the same stacks. A FocusingError propagates
+    and is not cached, so the next call raises again. Tᴴ is the
+    conjugate-transpose view of a contiguous conjugate, laid out as
+    ``t.conj().T`` is for one bin.
     """
-    key = (freqs, focus_frequency_hz, grid.angles_deg.tobytes(), geometry)
-    with _focusing_memo_lock:
-        stacks = _focusing_memo.get(key)
-        if stacks is None:
-            t = np.stack(
-                [focusing_transform(f, focus_frequency_hz, grid, geometry) for f in freqs]
-            )
-            t_conj = t.conj()
-            t.setflags(write=False)
-            t_conj.setflags(write=False)
-            stacks = (t, t_conj.swapaxes(-1, -2))
-            _focusing_memo[key] = stacks
-            if len(_focusing_memo) > _FOCUSING_MEMO_SIZE:
-                _focusing_memo.popitem(last=False)
-        else:
-            _focusing_memo.move_to_end(key)
-    return stacks
+    t = np.stack([focusing_transform(f, focus_frequency_hz, grid, geometry) for f in freqs])
+    t_conj = t.conj()
+    t.setflags(write=False)
+    t_conj.setflags(write=False)
+    return t, t_conj.swapaxes(-1, -2)
 
 
 def focus_and_smooth(

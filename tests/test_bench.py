@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import os
+import re
 import weakref
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import raysep.bench
 import raysep.simulate
 import raysep.solvers
+import raysep.spectral
 import raysep.subspace
 from raysep import (
     AngleGrid,
@@ -233,6 +235,26 @@ def test_plan_validation():
                        trials=1, algorithms=("madeup",))
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"paths": RaypathSet(np.linspace(-40.0, 40.0, 8), np.ones(8), np.zeros(8))},
+         "num_paths must satisfy 1 <= num_paths < 8 sensors, got 8"),
+        ({"band_hz": (2000.0, 1000.0)}, "band_hz must satisfy 0 < low <= high"),
+        ({"num_bins": 0}, "num_bins must be at least 1, got 0"),
+        ({"num_snapshots": 0}, "num_snapshots must be at least 1, got 0"),
+        ({"coherence": 1.5}, "coherence must lie in [0, 1], got 1.5"),
+    ],
+    ids=["paths-as-sensors", "band-reversed", "no-bins", "no-snapshots", "coherence-above-1"],
+)
+def test_plan_that_cannot_run_is_refused_when_built(change, message):
+    geom, paths, grid = bench_fixture()
+    fields = dict(paths=paths, geometry=geom, grid=grid, snr_list=(0.0,), trials=1,
+                  algorithms=("music", "cbf"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentPlan(**{**fields, **change})
+
+
 def test_report_entry_lookup_and_rows():
     geom, paths, grid = bench_fixture()
     plan = ExperimentPlan(
@@ -345,7 +367,7 @@ def table1_fixture():
     return geom, eigenray_angles(scenario), AngleGrid.uniform(-10.0, 10.0, 0.2)
 
 
-def test_thread_count_does_not_change_a_multi_block_front_end_plan():
+def front_end_plan():
     # The benchmark's front-end cell: 64 bins of 150 snapshots, synthesized
     # in several blocks per cell, with smoothed MUSIC and CBF.
     geom, paths, grid = table1_fixture()
@@ -357,10 +379,28 @@ def test_thread_count_does_not_change_a_multi_block_front_end_plan():
     )
     per_bin = geom.num_sensors * plan.num_snapshots * 16
     assert raysep.simulate._BLOCK_BYTES // per_bin < plan.num_bins
+    return plan
+
+
+def test_thread_count_does_not_change_a_multi_block_front_end_plan():
+    plan = front_end_plan()
     serial = run_experiment(plan, threads=1)
     parallel = run_experiment(plan, threads=2)
     assert parallel.to_json_dict() == serial.to_json_dict()
     assert serial.flagged_trials == ()
+
+
+def test_threads_that_meet_an_empty_focusing_cache_give_the_serial_report():
+    # Both workers miss the cache at their first cell and may compute the
+    # same transforms side by side; what they cache must serve every cell.
+    plan = front_end_plan()
+    raysep.spectral._focusing_stacks.cache_clear()
+    parallel = run_experiment(plan, threads=2)
+    assert raysep.spectral._focusing_stacks.cache_info().currsize == 1
+    raysep.spectral._focusing_stacks.cache_clear()
+    serial = run_experiment(plan, threads=1)
+    assert parallel.to_json_dict() == serial.to_json_dict()
+    assert parallel.flagged_trials == ()
 
 
 def test_subspace_retry_solves_at_the_certified_floor():

@@ -380,3 +380,63 @@ def test_simulate_path_list_entry_that_is_not_a_number_is_a_config_error(
     path = write_config(tmp_path / "sim.json", cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert f"{field}: expected a number, got {bad!r}" in capsys.readouterr().err
+
+
+def estimate_args(tmp_path, cfg):
+    """``raysep estimate`` arguments for ``cfg`` on freshly simulated snapshots, less ``--out``."""
+    sim = write_config(tmp_path / "sim.json", simulate_config())
+    main(["simulate", "--config", sim, "--out", str(tmp_path / "data")])
+    est = write_config(tmp_path / "est.json", cfg)
+    return ["estimate", "--config", est, "--snapshots", str(tmp_path / "data" / "snapshots.csv")]
+
+
+@pytest.mark.parametrize("value", ["false", "no", None, 0])
+@pytest.mark.parametrize("key", ["music_smoothing", "subspace_retry"])
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+def test_switch_that_is_not_a_json_boolean_is_a_config_error(
+    tmp_path, capsys, command, key, value
+):
+    if command == "bench":
+        cfg = write_config(tmp_path / "bench.json", bench_config(**{key: value}))
+        args = ["bench", "--config", cfg]
+    else:
+        args = estimate_args(tmp_path, estimate_config(**{key: value}))
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert f"config.{key}: expected true or false, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("band_hz", [1600.0, 1400.0], "signal.band_hz must satisfy 0 < low <= high"),
+        ("num_bins", 0, "signal.num_bins must be at least 1"),
+        ("num_snapshots", 0, "signal.num_snapshots must be at least 1"),
+        ("coherence", 1.5, "signal.coherence must lie in [0, 1]"),
+        ("coherence", "weird", "signal.coherence must be 'coherent' or 'incoherent'"),
+    ],
+    ids=["band-reversed", "no-bins", "no-snapshots", "coherence-above-1", "coherence-mode"],
+)
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+def test_signal_that_cannot_be_synthesized_is_a_config_error(
+    tmp_path, capsys, command, key, value, message
+):
+    cfg = bench_config() if command == "bench" else simulate_config()
+    cfg["signal"][key] = value
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+def test_as_many_paths_as_sensors_is_a_config_error(tmp_path, capsys, command):
+    if command == "bench":
+        angles = [-50.0 + 14.0 * k for k in range(8)]
+        cfg = bench_config(scenario={"paths": {"angles_deg": angles, "delays_s": [0.0] * 8}})
+        args = ["bench", "--config", write_config(tmp_path / "bench.json", cfg)]
+    else:
+        args = estimate_args(tmp_path, estimate_config(num_paths=8))
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert "num_paths must satisfy 1 <= num_paths < 8 sensors, got 8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

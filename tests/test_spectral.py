@@ -261,9 +261,9 @@ def test_focus_and_smooth_with_unequal_snapshot_counts_matches_the_loop(focus_fr
 
 @pytest.fixture
 def empty_focusing_memo():
-    raysep.spectral._focusing_memo.clear()
+    raysep.spectral._focusing_stacks.cache_clear()
     yield
-    raysep.spectral._focusing_memo.clear()
+    raysep.spectral._focusing_stacks.cache_clear()
 
 
 def smoothed_plan(grid, geom, **changes):
@@ -322,9 +322,10 @@ def test_memoized_focusing_stacks_are_read_only(empty_focusing_memo):
     assert raysep.spectral._focusing_stacks(freqs, 1500.0, grid, geom)[0] is t
 
     # The memo is bounded: old sets are dropped, least recently used first.
-    for step in range(1, 2 * raysep.spectral._FOCUSING_MEMO_SIZE):
+    info = raysep.spectral._focusing_stacks.cache_info()
+    for step in range(1, 2 * info.maxsize):
         raysep.spectral._focusing_stacks((1000.0 + step,), 1500.0, grid, geom)
-    assert len(raysep.spectral._focusing_memo) == raysep.spectral._FOCUSING_MEMO_SIZE
+    assert raysep.spectral._focusing_stacks.cache_info().currsize == info.maxsize
 
 
 def test_focusing_failure_is_raised_on_every_call_and_flags_every_smoothed_solve(
@@ -338,7 +339,7 @@ def test_focusing_failure_is_raised_on_every_call_and_flags_every_smoothed_solve
     for _ in range(3):
         with pytest.raises(FocusingError, match="condition number"):
             focus_and_smooth(bins, None, grid, geom)
-    assert len(raysep.spectral._focusing_memo) == 0
+    assert raysep.spectral._focusing_stacks.cache_info().currsize == 0
 
     plan = smoothed_plan(grid, geom, paths=paths, num_bins=4)
     report = run_experiment(plan)
