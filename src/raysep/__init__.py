@@ -15,7 +15,6 @@ from .arrays import (
     RaypathSet,
     SteeringDictionary,
     build_dictionary,
-    default_grid,
     steering_vector,
 )
 from .baselines import PseudoSpectrum, cbf_spectrum, music_spectrum
@@ -60,7 +59,6 @@ from .subspace import (
     build_lifted_system,
     decompose,
     lift_dictionary,
-    split_interference,
     vectorize_signal_subspace,
 )
 
@@ -92,7 +90,6 @@ __all__ = [
     "cbf_spectrum",
     "choose_delta",
     "decompose",
-    "default_grid",
     "detect_peaks",
     "eigenray_angles",
     "estimate_spectra",
@@ -104,7 +101,6 @@ __all__ = [
     "reweighted_cs",
     "rmse",
     "run_experiment",
-    "split_interference",
     "steering_vector",
     "subspace_cs",
     "synthesize_broadband",

@@ -21,7 +21,6 @@ __all__ = [
     "RaypathSet",
     "steering_vector",
     "build_dictionary",
-    "default_grid",
 ]
 
 
@@ -116,11 +115,6 @@ class AngleGrid:
 
     def nearest_index(self, angle_deg: float) -> int:
         return int(np.argmin(np.abs(self.angles_deg - angle_deg)))
-
-
-def default_grid() -> AngleGrid:
-    """Library default: [-90, 90] degrees in 0.2-degree steps (901 points)."""
-    return AngleGrid.uniform(-90.0, 90.0, 0.2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,22 +1,29 @@
 """Monte-Carlo benchmark harness: peak picking, per-path RMSE, SNR sweeps.
 
 A plan fixes the ground-truth arrivals, the data synthesis settings and the
-algorithm list; the harness then repeats synthesize -> estimate -> peak-pick
-for every (SNR, trial) cell, matches detected peaks to the true angles and
-reports per-path RMSE with detection rates. Per-trial random streams are
-derived from (base seed, trial index, SNR index), so results do not depend
-on execution order and rerunning a plan reproduces every number.
+algorithm list. A run first builds one frozen run state: the estimator
+settings, the focus frequency, the steering dictionary and, when
+``subspace_cs`` is selected, the one lifted system whose nonnegative-path
+memo serves every cell. ``estimate_spectra`` builds its state the same way.
+The module-level ``_run_cell`` then does synthesize -> estimate -> peak-pick
+for one (SNR, trial) cell and returns a frozen ``CellRecord`` of its peaks,
+flagged algorithms and solver outcomes; the report matches the recorded
+peaks to the true angles and gives per-path RMSE with detection rates.
+Per-trial random streams are derived from (base seed, trial index, SNR
+index), so results do not depend on execution order and rerunning a plan
+reproduces every number.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, RaypathSet, build_dictionary
+from .arrays import AngleGrid, ArrayGeometry, RaypathSet, SteeringDictionary, build_dictionary
 from .baselines import cbf_spectrum, music_spectrum
 from .simulate import NoiseSpec, _check_signal, synthesize_broadband
 from .solvers import (
@@ -208,22 +215,38 @@ class EstimatorSettings:
             )
 
 
-class _TrialData:
-    """One snapshot data set plus lazily shared covariance estimates.
+@dataclass(frozen=True, eq=False)
+class _RunState:
+    """What every data set of a run shares, built once by ``_run_state``.
 
-    ``lifted`` is the lifted system a run shares between its data sets;
-    without one, the dictionary is lifted at the first ``subspace_cs``
-    solve.
+    ``lifted`` is the run's one lifted system when ``subspace_cs`` is
+    selected, else None; its nonnegative-path memo serves every cell. The
+    state pickles, and an unpickled lifted system starts a memo of its own.
     """
 
-    def __init__(self, settings: EstimatorSettings, bins, dictionary, focus_hz, lifted=None):
-        self.settings = settings
+    settings: EstimatorSettings
+    focus_hz: float
+    dictionary: SteeringDictionary
+    lifted: LiftedSystem | None
+
+
+def _run_state(settings: EstimatorSettings, focus_hz: float) -> _RunState:
+    dictionary = build_dictionary(settings.grid, focus_hz, settings.geometry)
+    lifted = None
+    if "subspace_cs" in settings.algorithms:
+        m = settings.geometry.num_sensors
+        lifted = LiftedSystem(np.zeros(m * m), lift_dictionary(dictionary), dictionary.grid)
+    return _RunState(settings, focus_hz, dictionary, lifted)
+
+
+class _TrialData:
+    """One snapshot data set of a run plus lazily shared covariance estimates."""
+
+    def __init__(self, state: _RunState, bins):
+        self.state = state
         self.bins = bins
-        self.dictionary = dictionary
-        self.focus_hz = focus_hz
-        self.lifted = lifted
         freqs = np.array([b.frequency_hz for b in bins])
-        self.center = bins[int(np.argmin(np.abs(freqs - focus_hz)))]
+        self.center = bins[int(np.argmin(np.abs(freqs - state.focus_hz)))]
         self._raw = None
         self._smooth = None
 
@@ -237,19 +260,11 @@ class _TrialData:
             if len(self.bins) == 1:
                 self._smooth = self.center_covariance()
             else:
+                s = self.state.settings
                 self._smooth = focus_and_smooth(
-                    self.bins, self.focus_hz, self.settings.grid, self.settings.geometry
+                    self.bins, self.state.focus_hz, s.grid, s.geometry
                 )
         return self._smooth
-
-    def lifted_system(self, decomposition):
-        vector = vectorize_signal_subspace(decomposition)
-        if self.lifted is None:
-            self.lifted = LiftedSystem(
-                vector, lift_dictionary(self.dictionary), self.dictionary.grid
-            )
-            return self.lifted
-        return self.lifted._with_vector(vector)
 
 
 def _with_bound(config: SolverConfig, bound: float) -> SolverConfig:
@@ -258,31 +273,29 @@ def _with_bound(config: SolverConfig, bound: float) -> SolverConfig:
 
 def _run_algorithm(data: _TrialData, alg: str):
     """One algorithm's spectrum for one data set."""
-    s = data.settings
-    sigma2 = data.center.noise_power
+    state = data.state
+    s = state.settings
     if alg == "cbf":
         cov = data.smoothed_covariance() if s.music_smoothing else data.center_covariance()
-        return cbf_spectrum(cov, s.grid, s.geometry, data.focus_hz)
+        return cbf_spectrum(cov, s.grid, s.geometry, state.focus_hz)
     if alg == "music":
         cov = data.smoothed_covariance() if s.music_smoothing else data.center_covariance()
-        return music_spectrum(cov, s.num_paths, s.grid, s.geometry, data.focus_hz)
-    if alg == "bpdn":
-        if s.epsilon is not None:
-            bound = s.epsilon
-        else:
-            bound = s.epsilon_factor * np.sqrt(sigma2 * s.geometry.num_sensors)
-        return bpdn(data.dictionary, data.center.data[:, 0], _with_bound(s.solver, bound))
-    if alg == "reweighted_cs":
-        if s.epsilon is not None:
-            bound = s.epsilon
-        else:
+        return music_spectrum(cov, s.num_paths, s.grid, s.geometry, state.focus_hz)
+    if alg in ("bpdn", "reweighted_cs"):
+        # noise-norm bound over the M x L data the solver fits; bpdn fits one snapshot
+        bound = s.epsilon
+        if bound is None:
+            snapshots = 1 if alg == "bpdn" else data.center.num_snapshots
             bound = s.epsilon_factor * np.sqrt(
-                sigma2 * s.geometry.num_sensors * data.center.num_snapshots
+                data.center.noise_power * s.geometry.num_sensors * snapshots
             )
-        return reweighted_cs(data.dictionary, data.center, _with_bound(s.solver, bound))
+        config = _with_bound(s.solver, bound)
+        if alg == "bpdn":
+            return bpdn(state.dictionary, data.center.data[:, 0], config)
+        return reweighted_cs(state.dictionary, data.center, config)
     if alg == "subspace_cs":
         dec = decompose(data.smoothed_covariance(), s.num_paths)
-        lifted = data.lifted_system(dec)
+        lifted = state.lifted._with_vector(vectorize_signal_subspace(dec))
         bound = choose_delta(dec, s.num_paths, factor=s.delta_factor)
         return subspace_cs(lifted, _with_bound(s.solver, bound), retry=s.subspace_retry)
     raise ValueError(f"unknown algorithm {alg!r}")
@@ -291,17 +304,17 @@ def _run_algorithm(data: _TrialData, alg: str):
 def estimate_spectra(bins: list, settings: EstimatorSettings) -> dict:
     """Run every selected algorithm on the given snapshot bins.
 
+    The call builds its run state as ``run_experiment`` does, so
     ``subspace_cs``, if selected, lifts the dictionary once for the call.
 
     Returns:
         Mapping from algorithm name to its spectrum object.
     """
-    freqs = [b.frequency_hz for b in bins]
     focus = settings.focus_frequency_hz
     if focus is None:
+        freqs = [b.frequency_hz for b in bins]
         focus = 0.5 * (min(freqs) + max(freqs))
-    dictionary = build_dictionary(settings.grid, focus, settings.geometry)
-    data = _TrialData(settings, bins, dictionary, focus)
+    data = _TrialData(_run_state(settings, focus), bins)
     return {alg: _run_algorithm(data, alg) for alg in settings.algorithms}
 
 
@@ -466,8 +479,62 @@ def _usable_cpus() -> int:
 _CELL_FAILURES = (SolverInfeasibleError, FocusingError, np.linalg.LinAlgError)
 
 
+@dataclass(frozen=True, eq=False)
+class CellRecord:
+    """What one (SNR, trial) cell of a sweep found.
+
+    ``peaks`` maps each algorithm to its peak angles, ``flagged`` names the
+    algorithms that lost their peaks to a numerical failure, and
+    ``outcomes`` maps each sparse algorithm to its retried, zero_spectrum
+    and not_converged flags.
+    """
+
+    snr_index: int
+    trial: int
+    peaks: dict
+    flagged: tuple
+    outcomes: dict
+
+
+def _run_cell(plan: ExperimentPlan, state: _RunState, cell: tuple) -> CellRecord:
+    """Synthesize cell ``(snr_index, trial)`` of ``plan`` and run its algorithms."""
+    si, ti = cell
+    bins = synthesize_broadband(
+        plan.paths,
+        plan.band_hz,
+        plan.num_bins,
+        plan.num_snapshots,
+        NoiseSpec(snr_db=plan.snr_list[si], seed=_trial_seed(plan.seed, ti, si)),
+        plan.geometry,
+        plan.coherence,
+    )
+    data = _TrialData(state, bins)
+    peaks = {}
+    flagged = []
+    outcomes = {}
+    for alg in plan.algorithms:
+        try:
+            spectrum = _run_algorithm(data, alg)
+            got = detect_peaks(spectrum, plan.paths.num_paths)
+        except _CELL_FAILURES:
+            got = np.empty(0)
+            flagged.append(alg)
+            spectrum = None
+        peaks[alg] = got
+        if alg in _SPARSE:
+            outcomes[alg] = {
+                "retried": spectrum is not None and spectrum.retried,
+                "zero_spectrum": spectrum is not None and not np.any(spectrum.values),
+                "not_converged": spectrum is not None and not spectrum.converged,
+            }
+    return CellRecord(si, ti, peaks, tuple(flagged), outcomes)
+
+
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
     """Execute the sweep described by ``plan``.
+
+    The run builds one run state, maps ``_run_cell`` over the cells and
+    assembles the report from their ``CellRecord``s, in cell order.
 
     A numerical failure inside one trial never aborts the sweep: when an
     algorithm's solve is infeasible, its focusing transform is rank
@@ -495,71 +562,28 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
             never changes results.
     """
     threads = min(threads, _usable_cpus())
-    settings = plan.estimator_settings()
-    dictionary = build_dictionary(plan.grid, plan.focus_frequency_hz, plan.geometry)
-    # one lifted system per run, so its nonnegative-path memo serves every cell
-    lifted = None
-    if "subspace_cs" in plan.algorithms:
-        m = plan.geometry.num_sensors
-        lifted = LiftedSystem(np.zeros(m * m), lift_dictionary(dictionary), dictionary.grid)
+    state = _run_state(plan.estimator_settings(), plan.focus_frequency_hz)
     cells = [(si, ti) for si in range(len(plan.snr_list)) for ti in range(plan.trials)]
-
-    def run_cell(cell):
-        si, ti = cell
-        seed = _trial_seed(plan.seed, ti, si)
-        bins = synthesize_broadband(
-            plan.paths,
-            plan.band_hz,
-            plan.num_bins,
-            plan.num_snapshots,
-            NoiseSpec(snr_db=plan.snr_list[si], seed=seed),
-            plan.geometry,
-            plan.coherence,
-        )
-        data = _TrialData(settings, bins, dictionary, plan.focus_frequency_hz, lifted)
-        peaks = {}
-        flagged = []
-        outcomes = {}
-        for alg in plan.algorithms:
-            try:
-                spectrum = _run_algorithm(data, alg)
-                got = detect_peaks(spectrum, plan.paths.num_paths)
-            except _CELL_FAILURES:
-                got = np.empty(0)
-                flagged.append((alg, si, ti))
-                spectrum = None
-            peaks[alg] = got
-            if alg in _SPARSE:
-                outcomes[alg] = {
-                    "retried": spectrum is not None and spectrum.retried,
-                    "zero_spectrum": spectrum is not None and not np.any(spectrum.values),
-                    "not_converged": spectrum is not None and not spectrum.converged,
-                }
-        return cell, peaks, flagged, outcomes
-
+    run_cell = functools.partial(_run_cell, plan, state)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run_cell, cells))
+            records = list(pool.map(run_cell, cells))
     else:
-        raw = [run_cell(c) for c in cells]
-    by_cell = {cell: rest for cell, *rest in raw}
+        records = [run_cell(c) for c in cells]
 
     trial_peaks = {}
     flagged_trials = []
     solver_outcomes = {}
     for si, snr in enumerate(plan.snr_list):
+        row = [r for r in records if r.snr_index == si]
         for alg in plan.algorithms:
-            trial_peaks[(alg, snr)] = [
-                by_cell[(si, ti)][0][alg] for ti in range(plan.trials)
-            ]
+            trial_peaks[(alg, snr)] = [r.peaks[alg] for r in row]
             if alg in _SPARSE:
-                per_trial = [by_cell[(si, ti)][2][alg] for ti in range(plan.trials)]
+                per_trial = [r.outcomes[alg] for r in row]
                 solver_outcomes[(alg, snr)] = {
                     name: sum(o[name] for o in per_trial) for name in per_trial[0]
                 }
-        for ti in range(plan.trials):
-            for alg, fsi, fti in by_cell[(si, ti)][1]:
-                flagged_trials.append((alg, float(plan.snr_list[fsi]), fti))
+        flagged_trials.extend((alg, float(snr), r.trial) for r in row for alg in r.flagged)
 
     entries = []
     for alg in plan.algorithms:

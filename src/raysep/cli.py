@@ -253,6 +253,8 @@ def _build_signal(cfg: dict, path: str = "signal"):
         raise ConfigError(f"{path}: provide exactly one of 'frequency_hz' or 'band_hz'")
     if "frequency_hz" in cfg:
         nu = _number(cfg, path, "frequency_hz")
+        if not 0 < nu < np.inf:
+            raise ConfigError(f"{path}.frequency_hz: must be positive and finite, got {nu}")
         band = (nu, nu)
         num_bins = 1
         if "num_bins" in cfg and _integer(cfg, path, "num_bins") != 1:

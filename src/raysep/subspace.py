@@ -11,8 +11,10 @@ separates arrivals closer than the classical resolution limit.
 A ``LiftedSystem`` holds private read-only copies of its vector and matrix,
 and owns what ``raysep.solvers.subspace_cs`` keeps from the matrix alone:
 the nonnegative path's memo, which systems made from it by ``_with_vector``
-share (so a benchmark run lifts once for all its cells). The path walk of
-a solve lives only as long as that call.
+share. A benchmark run keeps one lifted system in its frozen run state, and
+each cell's record comes from a solve of that system for the cell's own
+vector, so the run lifts once for all its cells. The path walk of a solve
+lives only as long as that call.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "vectorize_signal_subspace",
     "lift_dictionary",
     "build_lifted_system",
-    "split_interference",
 ]
 
 
@@ -169,31 +170,3 @@ def build_lifted_system(
         matrix=lift_dictionary(dictionary),
         grid=dictionary.grid,
     )
-
-
-def split_interference(
-    dictionary: SteeringDictionary, sparse_signal: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split G C Gᴴ into auto-term and cross-term matrices.
-
-    ``sparse_signal`` is either a length-Q signal vector (its outer product
-    supplies C) or a Q x Q signal covariance. The auto term uses only the
-    diagonal of C, the cross term only the off-diagonal part; the two add
-    back to the full product. Diagnostic tool for quantifying the
-    interference that path correlations inject into the covariance.
-    """
-    g = dictionary.matrix
-    s = np.asarray(sparse_signal, dtype=complex)
-    if s.ndim == 1:
-        c = np.outer(s, s.conj())
-    elif s.ndim == 2 and s.shape[0] == s.shape[1]:
-        c = s
-    else:
-        raise ValueError("sparse_signal must be a length-Q vector or Q x Q matrix")
-    if c.shape[0] != g.shape[1]:
-        raise ValueError("signal dimension must match the dictionary grid size")
-
-    diag = np.diag(c)
-    auto = (g * diag) @ g.conj().T
-    cross = g @ (c - np.diag(diag)) @ g.conj().T
-    return auto, cross

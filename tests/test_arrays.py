@@ -11,7 +11,6 @@ from raysep import (
     RaypathSet,
     SteeringDictionary,
     build_dictionary,
-    default_grid,
     steering_vector,
 )
 
@@ -90,9 +89,9 @@ def test_dictionary_center_column_all_ones():
     assert_array_equal(d.matrix[:, 1], np.ones(2, dtype=complex))
 
 
-def test_default_grid_shape_and_modulus():
+def test_901_point_grid_shape_and_modulus():
     geom = table_geometry()
-    grid = default_grid()
+    grid = AngleGrid.uniform(-90.0, 90.0, 0.2)
     assert len(grid) == 901
     d = build_dictionary(grid, 1500.0, geom)
     assert d.matrix.shape == (11, 901)
@@ -101,7 +100,7 @@ def test_default_grid_shape_and_modulus():
 
 def test_vandermonde_row_ratio_constant():
     geom = table_geometry()
-    d = build_dictionary(default_grid(), 1500.0, geom)
+    d = build_dictionary(AngleGrid.uniform(-90.0, 90.0, 0.2), 1500.0, geom)
     ratios = d.matrix[1:, :] / d.matrix[:-1, :]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-10
 

@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import os
+import pickle
 import re
 import weakref
 from dataclasses import replace
@@ -414,7 +415,7 @@ def test_subspace_retry_solves_at_the_certified_floor():
         paths, (1000.0, 2000.0), 32, 150, NoiseSpec(snr_db=20.0, seed=3), geom, "coherent"
     )
     dictionary = build_dictionary(grid, 1500.0, geom)
-    data = raysep.bench._TrialData(settings, bins, dictionary, 1500.0)
+    data = raysep.bench._TrialData(raysep.bench._run_state(settings, 1500.0), bins)
     retried = raysep.bench._run_algorithm(data, "subspace_cs")
     assert retried.retried and retried.diagnostics()["retried"] is True
 
@@ -439,7 +440,7 @@ def test_subspace_retry_solves_at_the_certified_floor():
 
     # without the retry the refusal propagates; the CLI reports its message
     strict = raysep.bench._TrialData(
-        replace(settings, subspace_retry=False), bins, dictionary, 1500.0
+        raysep.bench._run_state(replace(settings, subspace_retry=False), 1500.0), bins
     )
     with pytest.raises(SolverInfeasibleError, match="residual"):
         raysep.bench._run_algorithm(strict, "subspace_cs")
@@ -636,6 +637,53 @@ def test_seeded_smoke_reports_hold_across_versions(name):
             assert math.isnan(row["rmse_deg"]), key
         else:
             assert row["rmse_deg"] == pytest.approx(rmse_deg, rel=1e-12, abs=0), key
+
+
+def assert_same_record(got, want):
+    assert (got.snr_index, got.trial) == (want.snr_index, want.trial)
+    assert got.flagged == want.flagged and got.outcomes == want.outcomes
+    assert list(got.peaks) == list(want.peaks)
+    for alg, peaks in want.peaks.items():
+        assert_array_equal(got.peaks[alg], peaks)
+
+
+def test_run_state_and_cell_records_pickle_and_a_cell_reruns_from_the_copy():
+    plan = smoke_plans()["all_algorithms"]
+    state = raysep.bench._run_state(plan.estimator_settings(), plan.focus_frequency_hz)
+    assert state.lifted is not None
+    record = raysep.bench._run_cell(plan, state, (1, 0))
+    assert record.outcomes["subspace_cs"]["retried"]  # +20 dB: the walk filled the memo
+    with pytest.raises(AttributeError):
+        record.trial = 1
+    assert_same_record(pickle.loads(pickle.dumps(record)), record)
+
+    copied = pickle.loads(pickle.dumps(state))
+    assert copied.settings == state.settings and copied.focus_hz == state.focus_hz
+    assert_array_equal(copied.dictionary.matrix, state.dictionary.matrix)
+    assert_array_equal(copied.lifted.matrix, state.lifted.matrix)
+    assert "path" in state.lifted._memo and copied.lifted._memo == {}  # a memo of its own
+    assert_same_record(raysep.bench._run_cell(plan, copied, (1, 0)), record)
+
+
+@pytest.mark.parametrize("name", ["all_algorithms", "smoothed_baselines"])
+def test_estimate_spectra_on_a_cells_bins_gives_that_cells_peaks(name):
+    # both entry points build the same run state, so one cell's data gives one answer
+    plan = smoke_plans()[name]
+    settings = plan.estimator_settings()
+    state = raysep.bench._run_state(settings, plan.focus_frequency_hz)
+    for si, snr in enumerate(plan.snr_list):
+        for ti in range(plan.trials):
+            record = raysep.bench._run_cell(plan, state, (si, ti))
+            bins = synthesize_broadband(
+                plan.paths, plan.band_hz, plan.num_bins, plan.num_snapshots,
+                NoiseSpec(snr_db=snr, seed=raysep.bench._trial_seed(plan.seed, ti, si)),
+                plan.geometry, plan.coherence,
+            )
+            spectra = estimate_spectra(bins, settings)
+            assert list(spectra) == list(record.peaks)
+            for alg, spectrum in spectra.items():
+                assert_array_equal(detect_peaks(spectrum, plan.paths.num_paths),
+                                   record.peaks[alg])
 
 
 def public_values():

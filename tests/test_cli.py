@@ -429,6 +429,21 @@ def test_signal_that_cannot_be_synthesized_is_a_config_error(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("frequency_hz", [-5, 0])
+@pytest.mark.parametrize("command", ["bench", "simulate"])
+def test_narrowband_frequency_that_is_not_positive_names_frequency_hz(
+    tmp_path, capsys, command, frequency_hz
+):
+    cfg = bench_config() if command == "bench" else simulate_config()
+    cfg["signal"] = {"frequency_hz": frequency_hz, "num_snapshots": 16}
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"signal.frequency_hz: must be positive and finite, got {float(frequency_hz)}" in err
+    assert "band_hz" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["bench", "estimate"])
 def test_as_many_paths_as_sensors_is_a_config_error(tmp_path, capsys, command):
     if command == "bench":

@@ -9,7 +9,6 @@ from raysep import (
     build_lifted_system,
     decompose,
     lift_dictionary,
-    split_interference,
     steering_vector,
     vectorize_signal_subspace,
 )
@@ -203,34 +202,3 @@ def test_random_lifted_column_subsets_independent():
             cols = rng.choice(len(grid), size=2 * p, replace=False)
             s = np.linalg.svd(lifted[:, cols], compute_uv=False)
             assert s[-1] > 1e-8
-
-
-def test_split_interference_incoherent_diagonal_only():
-    _, _, d = lifted_fixture()
-    powers = np.zeros(len(d.grid))
-    powers[[40, 120]] = [1.0, 2.0]
-    auto, cross = split_interference(d, np.diag(powers).astype(complex))
-    assert np.max(np.abs(cross)) == 0.0
-    g = d.matrix
-    expected = (g * powers) @ g.conj().T
-    assert_allclose(auto, expected, atol=1e-12)
-
-
-def test_split_interference_additivity_and_coherent_cross():
-    rng = np.random.default_rng(16)
-    geom = ArrayGeometry(num_sensors=4, spacing_m=0.5)
-    grid = AngleGrid.uniform(-60.0, 60.0, 10.0)
-    d = build_dictionary(grid, 1500.0, geom)
-    s = np.zeros(len(grid), dtype=complex)
-    support = rng.choice(len(grid), size=2, replace=False)
-    s[support] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    auto, cross = split_interference(d, s)
-    full = d.matrix @ np.outer(s, s.conj()) @ d.matrix.conj().T
-    assert np.max(np.abs(auto + cross - full)) < 1e-12 * np.max(np.abs(full))
-    # equal-amplitude coherent pair: cross term carries the off-diagonal energy
-    s2 = np.zeros(len(grid), dtype=complex)
-    s2[support] = 1.0
-    auto2, cross2 = split_interference(d, s2)
-    g1, g2 = d.matrix[:, support[0]], d.matrix[:, support[1]]
-    brute = np.outer(g1, g2.conj()) + np.outer(g2, g1.conj())
-    assert_allclose(cross2, brute, atol=1e-12)
