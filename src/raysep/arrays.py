@@ -10,7 +10,7 @@ boundary and are converted to radians internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,15 @@ def _read_only_copy(values, dtype) -> np.ndarray:
     """
     arr = np.asarray(values, dtype=dtype)
     return np.frombuffer(arr.tobytes(), dtype=dtype).reshape(arr.shape)
+
+
+def _rebuilt_by_constructor(value):
+    """``__reduce__`` of a dataclass value type: rebuild it from its fields.
+
+    ``pickle``, ``copy.copy`` and ``copy.deepcopy`` then go through the
+    constructor, which gives the copy read-only arrays of its own.
+    """
+    return type(value), tuple(getattr(value, f.name) for f in fields(value))
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,6 @@ class ArrayGeometry:
                 f"got {self.reference_index}"
             )
 
-    def wavelength_m(self, frequency_hz: float) -> float:
-        return self.sound_speed_mps / frequency_hz
-
 
 @dataclass(frozen=True)
 class AngleGrid:
@@ -88,6 +94,8 @@ class AngleGrid:
         if np.any(np.diff(angles) <= 0):
             raise ValueError("grid angles must be strictly increasing")
         object.__setattr__(self, "angles_deg", _read_only_copy(angles, float))
+
+    __reduce__ = _rebuilt_by_constructor
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AngleGrid):
@@ -136,6 +144,8 @@ class SteeringDictionary:
             raise ValueError("dictionary matrix must be num_sensors x grid size")
         object.__setattr__(self, "matrix", _read_only_copy(m, complex))
 
+    __reduce__ = _rebuilt_by_constructor
+
     @property
     def num_sensors(self) -> int:
         return self.matrix.shape[0]
@@ -167,6 +177,8 @@ class RaypathSet:
             raise ValueError("raypath angles must be pairwise distinct")
         for name, arr in (("angles_deg", angles), ("amplitudes", amps), ("delays_s", delays)):
             object.__setattr__(self, name, _read_only_copy(arr, arr.dtype))
+
+    __reduce__ = _rebuilt_by_constructor
 
     @property
     def num_paths(self) -> int:

@@ -1,7 +1,8 @@
 """Classical comparison beamformers: MUSIC and conventional (Bartlett).
 
-Both scan the same angle grid as the sparse solvers so their outputs can be
-peak-picked and scored by the common benchmark machinery.
+Both scan the steering dictionary they are given, the one the sparse
+solvers use, so their outputs can be peak-picked and scored by the common
+benchmark machinery.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, build_dictionary
+from .arrays import AngleGrid, SteeringDictionary, _read_only_copy, _rebuilt_by_constructor
 from .spectral import SpectralMatrix
 from .subspace import decompose
 
@@ -33,50 +34,35 @@ class PseudoSpectrum:
             raise ValueError("pseudo-spectrum must be finite and match the grid")
         if np.any(v < 0):
             raise ValueError("pseudo-spectrum values must be nonnegative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only_copy(v, float))
+
+    __reduce__ = _rebuilt_by_constructor
 
 
 def music_spectrum(
-    spectral: SpectralMatrix,
-    num_paths: int,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
-    frequency_hz: float | None = None,
+    spectral: SpectralMatrix, num_paths: int, dictionary: SteeringDictionary
 ) -> PseudoSpectrum:
     """Noise-subspace scan: 1 / (projection of each steering vector).
 
-    The value at each grid angle is the reciprocal of the steering vector's
-    energy inside the noise subspace (plus a small regularizer so exact
-    nulls do not overflow), normalized to unit maximum.
+    The value at each column of ``dictionary`` is the reciprocal of that
+    steering vector's energy inside the noise subspace (plus a small
+    regularizer so exact nulls do not overflow), normalized to unit maximum.
 
     Args:
-        spectral: Covariance estimate; its frequency is used unless
-            ``frequency_hz`` overrides it.
+        spectral: Covariance estimate.
         num_paths: Assumed number of arrivals (signal-subspace dimension).
+        dictionary: Steering vectors to scan, one per grid angle.
     """
-    if frequency_hz is None:
-        frequency_hz = spectral.frequency_hz
-    dec = decompose(spectral, num_paths)
-    noise_vecs = dec.noise_eigenvectors
-    g = build_dictionary(grid, frequency_hz, geometry).matrix
-    proj = noise_vecs.conj().T @ g
+    noise_vecs = decompose(spectral, num_paths).noise_eigenvectors
+    proj = noise_vecs.conj().T @ dictionary.matrix
     denom = np.sum(np.abs(proj) ** 2, axis=0)
-    eta = _MUSIC_REGULARIZER_SCALE * geometry.num_sensors
-    values = 1.0 / (denom + eta)
-    return PseudoSpectrum(grid=grid, values=values / np.max(values), method="music")
+    values = 1.0 / (denom + _MUSIC_REGULARIZER_SCALE * dictionary.num_sensors)
+    return PseudoSpectrum(dictionary.grid, values / np.max(values), "music")
 
 
-def cbf_spectrum(
-    spectral: SpectralMatrix,
-    grid: AngleGrid,
-    geometry: ArrayGeometry,
-    frequency_hz: float | None = None,
-) -> PseudoSpectrum:
-    """Conventional (Bartlett) beamformer power: gᴴ R g / M² per angle."""
-    if frequency_hz is None:
-        frequency_hz = spectral.frequency_hz
-    g = build_dictionary(grid, frequency_hz, geometry).matrix
+def cbf_spectrum(spectral: SpectralMatrix, dictionary: SteeringDictionary) -> PseudoSpectrum:
+    """Conventional (Bartlett) beamformer power: gᴴ R g / M² per dictionary column."""
+    g = dictionary.matrix
     quad = np.einsum("mq,mn,nq->q", g.conj(), spectral.matrix, g).real
-    values = np.maximum(quad, 0.0) / geometry.num_sensors**2
-    return PseudoSpectrum(grid=grid, values=values, method="cbf")
+    values = np.maximum(quad, 0.0) / dictionary.num_sensors**2
+    return PseudoSpectrum(dictionary.grid, values, "cbf")

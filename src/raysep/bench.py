@@ -219,9 +219,10 @@ class EstimatorSettings:
 class _RunState:
     """What every data set of a run shares, built once by ``_run_state``.
 
-    ``lifted`` is the run's one lifted system when ``subspace_cs`` is
-    selected, else None; its nonnegative-path memo serves every cell. The
-    state pickles, and an unpickled lifted system starts a memo of its own.
+    Every algorithm scans ``dictionary``. ``lifted`` is the run's one lifted
+    system when ``subspace_cs`` is selected, else None; its nonnegative-path
+    memo serves every cell. The state pickles, and an unpickled lifted
+    system starts a memo of its own.
     """
 
     settings: EstimatorSettings
@@ -275,12 +276,11 @@ def _run_algorithm(data: _TrialData, alg: str):
     """One algorithm's spectrum for one data set."""
     state = data.state
     s = state.settings
-    if alg == "cbf":
+    if alg in ("cbf", "music"):
         cov = data.smoothed_covariance() if s.music_smoothing else data.center_covariance()
-        return cbf_spectrum(cov, s.grid, s.geometry, state.focus_hz)
-    if alg == "music":
-        cov = data.smoothed_covariance() if s.music_smoothing else data.center_covariance()
-        return music_spectrum(cov, s.num_paths, s.grid, s.geometry, state.focus_hz)
+        if alg == "cbf":
+            return cbf_spectrum(cov, state.dictionary)
+        return music_spectrum(cov, s.num_paths, state.dictionary)
     if alg in ("bpdn", "reweighted_cs"):
         # noise-norm bound over the M x L data the solver fits; bpdn fits one snapshot
         bound = s.epsilon
@@ -552,12 +552,13 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> RmseReport:
         threads: Worker threads, at most one per usable CPU. A plan
             without sparse solvers gains from a second thread, because its
             synthesis makes a few long numpy calls per cell that run
-            without the interpreter lock (on the benchmark's 64-bin
-            smoothed MUSIC/CBF plan on a 2-core VM, four runs of 6 s gave
-            medians of 95-100 cells/s on one thread and 125-137 on two).
-            The sparse solvers hold the interpreter lock, so a plan that
-            runs them slows (the benchmark's subspace_cs/MUSIC/CBF plan:
-            92 -> 82 and 100 -> 76 cells/s in two runs). Trials are
+            without the interpreter lock (on a 2-core x86-64 VM in October
+            2026, two runs of 12 alternating in-process pairs on seed 101
+            gave median 2-thread / 1-thread throughput ratios of 1.09 and
+            1.14 on the benchmark's 64-bin smoothed MUSIC/CBF plan, pairs
+            ranging 0.84-1.39). The sparse solvers hold the interpreter
+            lock, so a plan that runs them slows (the benchmark's
+            subspace_cs/MUSIC/CBF plan: medians 0.90 and 0.82). Trials are
             independent and report assembly is ordered, so the thread count
             never changes results.
     """

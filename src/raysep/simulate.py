@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayGeometry, RaypathSet, _plane_wave_phase, _read_only_copy
+from .arrays import ArrayGeometry, RaypathSet, _plane_wave_phase, _read_only_copy, _rebuilt_by_constructor
 
 __all__ = [
     "WaveguideScenario",
@@ -61,6 +61,8 @@ class WaveguideScenario:
             raise ValueError("num_paths must be at least 1")
         object.__setattr__(self, "receiver_depths_m", _read_only_copy(depths, float))
 
+    __reduce__ = _rebuilt_by_constructor
+
     def array_geometry(self, reference_index: int = 0) -> ArrayGeometry:
         """Derive the uniform-array geometry implied by the receiver depths."""
         steps = np.diff(self.receiver_depths_m)
@@ -106,6 +108,8 @@ class SnapshotMatrix:
         if not np.all(np.isfinite(d.view(float))):
             raise ValueError("snapshot data must be finite")
         object.__setattr__(self, "data", _read_only_copy(d, complex))
+
+    __reduce__ = _rebuilt_by_constructor
 
     @classmethod
     def _of_read_only(cls, data: np.ndarray, frequency_hz: float, noise_power: float):

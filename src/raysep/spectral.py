@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, _read_only_copy, build_dictionary
+from .arrays import AngleGrid, ArrayGeometry, _read_only_copy, _rebuilt_by_constructor, build_dictionary
 from .simulate import SnapshotMatrix
 
 __all__ = [
@@ -55,6 +55,8 @@ class SpectralMatrix:
             raise ValueError("spectral matrix must be square")
         _check_hermitian_psd(r)
         object.__setattr__(self, "matrix", _read_only_copy(r, complex))
+
+    __reduce__ = _rebuilt_by_constructor
 
     @property
     def num_sensors(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngleGrid, SteeringDictionary, _read_only_copy
+from .arrays import AngleGrid, SteeringDictionary, _read_only_copy, _rebuilt_by_constructor
 from .spectral import SpectralMatrix
 
 __all__ = [
@@ -151,9 +151,8 @@ class LiftedSystem:
         other.__dict__.update(self.__dict__, vector=v)
         return other
 
-    def __reduce__(self):
-        # rebuilt by the constructor: the memo holds a lock and stays behind
-        return LiftedSystem, (self.vector, self.matrix, self.grid)
+    # rebuilt by the constructor: the memo holds a lock and stays behind
+    __reduce__ = _rebuilt_by_constructor
 
 
 def build_lifted_system(

@@ -212,7 +212,8 @@ def test_criterion_05_coherent_separation_headline():
 
         freqs = np.array([b.frequency_hz for b in bins])
         center = bins[int(np.argmin(np.abs(freqs - 1500.0)))]
-        music = music_spectrum(estimate_spectral_matrix(center), 5, grid, geom)
+        center_d = build_dictionary(grid, center.frequency_hz, geom)
+        music = music_spectrum(estimate_spectral_matrix(center), 5, center_d)
         mpeaks = detect_peaks(music, 5)
         mmatches, _ = _match_peaks(mpeaks, truth, 0.6)
         music_full_detect += len(mmatches) == 5

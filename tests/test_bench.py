@@ -168,10 +168,9 @@ def test_music_smoothing_option_routes_smoothed_covariance():
     smoothed = estimate_spectra(bins, EstimatorSettings(**base, music_smoothing=True))["music"]
     freqs = np.array([b.frequency_hz for b in bins])
     center = bins[int(np.argmin(np.abs(freqs - 1500.0)))]
-    expect_raw = music_spectrum(estimate_spectral_matrix(center), 2, grid, geom, 1500.0)
-    expect_smooth = music_spectrum(
-        focus_and_smooth(bins, 1500.0, grid, geom), 2, grid, geom, 1500.0
-    )
+    dictionary = build_dictionary(grid, 1500.0, geom)
+    expect_raw = music_spectrum(estimate_spectral_matrix(center), 2, dictionary)
+    expect_smooth = music_spectrum(focus_and_smooth(bins, 1500.0, grid, geom), 2, dictionary)
     np.testing.assert_array_equal(raw.values, expect_raw.values)
     np.testing.assert_array_equal(smoothed.values, expect_smooth.values)
     assert not np.array_equal(raw.values, smoothed.values)
@@ -686,6 +685,29 @@ def test_estimate_spectra_on_a_cells_bins_gives_that_cells_peaks(name):
                                    record.peaks[alg])
 
 
+def test_every_algorithm_of_a_run_scans_the_run_states_one_dictionary(monkeypatch):
+    seen = []
+
+    def recording(fn, position):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, args[position]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, position in (("music_spectrum", 2), ("cbf_spectrum", 1), ("bpdn", 0),
+                           ("reweighted_cs", 0)):
+        monkeypatch.setattr(raysep.bench, name, recording(getattr(raysep.bench, name), position))
+    plan = smoke_plans()["all_algorithms"]
+    run_experiment(plan)
+    cells = len(plan.snr_list) * plan.trials
+    assert sorted(name for name, _ in seen) == sorted(
+        ["bpdn", "cbf_spectrum", "music_spectrum", "reweighted_cs"] * cells
+    )
+    first = seen[0][1]
+    assert all(dictionary is first for _, dictionary in seen)
+    assert first.frequency_hz == plan.focus_frequency_hz and first.grid == plan.grid
+
+
 def public_values():
     """One value of each public type that holds arrays, plus AngleGrid and ExperimentPlan."""
     geom, paths, grid = bench_fixture()
@@ -716,7 +738,7 @@ def public_values():
         "SparseSpectrum": subspace_cs(
             lifted, SolverConfig(residual_bound=0.5 * np.linalg.norm(lifted.vector))
         ),
-        "PseudoSpectrum": music_spectrum(spectral, 2, grid, geom, 1500.0),
+        "PseudoSpectrum": music_spectrum(spectral, 2, dictionary),
         "RmseReport": run_experiment(plan),
         "PathScores": rmse([np.array([-20.0, 15.0])], paths),
         "ExperimentPlan": plan,
@@ -743,3 +765,27 @@ def test_public_values_compare_and_hash_without_raising(public_value_set, name):
     assert (twin == value) is (name == "AngleGrid")
     assert (twin != value) is (name != "AngleGrid")
     hash(value)
+
+
+def array_fields(value) -> dict:
+    return {k: v for k, v in vars(value).items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
+@pytest.mark.parametrize("name", [
+    "AngleGrid", "SteeringDictionary", "RaypathSet", "WaveguideScenario", "SnapshotMatrix",
+    "SpectralMatrix", "LiftedSystem", "PseudoSpectrum",
+])
+def test_value_types_keep_read_only_arrays_through_pickle_and_copies(public_value_set, name, how):
+    value = public_value_set[name]
+    twin = {
+        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+        "deepcopy": copy.deepcopy,
+        "copy": copy.copy,
+    }[how](value)
+    want = array_fields(value)
+    got = array_fields(twin)
+    assert type(twin) is type(value) and list(got) == list(want) and want
+    for field_name, arr in got.items():
+        assert_array_equal(arr, want[field_name])
+        assert not arr.flags.writeable, field_name
