@@ -150,9 +150,6 @@ class SteeringDictionary:
     def num_sensors(self) -> int:
         return self.matrix.shape[0]
 
-    def column(self, q: int) -> np.ndarray:
-        return self.matrix[:, q]
-
 
 @dataclass(frozen=True, eq=False)
 class RaypathSet:

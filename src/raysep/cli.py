@@ -3,15 +3,14 @@
 All three subcommands read a JSON config (schema below), write their
 outputs under ``--out`` and exit with a stable code: 0 success, 2 config or
 dimension validation failure, 3 file I/O failure, 4 numerical failure.
-``--seed`` overrides the config seed. ``bench`` alone takes ``--threads``
-(or the RAYSEP_THREADS environment variable): its worker threads, at most
-one per usable CPU. A thread count that is not a positive integer is a
-config error.
+``--seed`` overrides the config seed. ``bench`` alone takes ``--threads``:
+its worker threads (default 1), at most one per usable CPU. A thread count
+that is not a positive integer is a config error.
 
 Config schemas (unknown keys are rejected, paths in error messages;
 ``music_smoothing`` and ``subspace_retry`` take JSON true or false only, and
 a signal that cannot be synthesized or as many paths as sensors is a config
-error):
+error). An optional key left out keeps the library's default, shown below:
 
 simulate::
 
@@ -40,21 +39,21 @@ estimate::
       "focus_frequency_hz": null, "music_smoothing": false,
       "epsilon": null, "epsilon_factor": 1.1, "delta_factor": 1.5,
       "subspace_retry": true,
-      "solver": {"residual_bound": null, "reweight_xi": null,
-                 "max_reweight_iters": 6, "inner_tol": 1e-4,
-                 "inner_max_iters": 600}
+      "solver": {"reweight_xi": null, "max_reweight_iters": 6,
+                 "inner_tol": 1e-4, "inner_max_iters": 600}
     }
 
-bench: the estimate keys (minus epsilon) plus "scenario", "signal",
-"snr_db" (list), "trials", "seed", "match_window_deg".
+bench: the estimate keys but "num_paths", "focus_frequency_hz" and
+"epsilon", plus "scenario", "signal", "snr_db" (list), "trials", "seed" and
+"match_window_deg" (default 3.0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +118,14 @@ def _check_keys(cfg: dict, path: str, allowed: set, required: set):
         raise ConfigError(f"{path}: missing required key '{sorted(missing)[0]}'")
 
 
-def _number(cfg: dict, path: str, key: str, default=None, allow_inf: bool = False):
+def _number(cfg: dict, path: str, key: str, allow_inf: bool = False):
     if key not in cfg:
-        if default is not None:
-            return default
         raise ConfigError(f"{path}.{key}: missing required number")
     return _as_number(cfg[key], f"{path}.{key}", allow_inf)
+
+
+def _number_or_null(cfg: dict, path: str, key: str):
+    return None if cfg.get(key) is None else _number(cfg, path, key)
 
 
 def _as_number(v, field: str, allow_inf: bool = False) -> float:
@@ -135,8 +136,8 @@ def _as_number(v, field: str, allow_inf: bool = False) -> float:
     return float(v)
 
 
-def _boolean(cfg: dict, path: str, key: str, default: bool) -> bool:
-    v = cfg.get(key, default)
+def _boolean(cfg: dict, path: str, key: str) -> bool:
+    v = cfg[key]
     if not isinstance(v, bool):
         raise ConfigError(f"{path}.{key}: expected true or false, got {v!r}")
     return v
@@ -149,15 +150,18 @@ def _numbers(v, field: str) -> np.ndarray:
     return np.array([_as_number(x, f"{field}[{i}]") for i, x in enumerate(v)], dtype=float)
 
 
-def _integer(cfg: dict, path: str, key: str, default=None) -> int:
+def _integer(cfg: dict, path: str, key: str) -> int:
     if key not in cfg:
-        if default is not None:
-            return default
         raise ConfigError(f"{path}.{key}: missing required integer")
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
     return v
+
+
+def _present(cfg: dict, path: str, readers: dict) -> dict:
+    """The keys of ``readers`` that ``cfg`` holds, each read by its reader."""
+    return {key: read(cfg, path, key) for key, read in readers.items() if key in cfg}
 
 
 def _build_geometry(cfg: dict, path: str = "geometry") -> ArrayGeometry:
@@ -171,8 +175,7 @@ def _build_geometry(cfg: dict, path: str = "geometry") -> ArrayGeometry:
         return ArrayGeometry(
             num_sensors=_integer(cfg, path, "num_sensors"),
             spacing_m=_number(cfg, path, "spacing_m"),
-            sound_speed_mps=_number(cfg, path, "sound_speed_mps", default=1500.0),
-            reference_index=_integer(cfg, path, "reference_index", default=0),
+            **_present(cfg, path, {"sound_speed_mps": _number, "reference_index": _integer}),
         )
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
@@ -280,31 +283,16 @@ def _build_signal(cfg: dict, path: str = "signal"):
     return band, num_bins, num_snapshots, coherence
 
 
-def _build_solver(cfg: dict, path: str = "solver") -> SolverConfig:
-    default = _default_solver()
-    if cfg is None:
-        return default
-    cfg = _expect_dict(cfg, path)
-    _check_keys(
-        cfg, path,
-        {"residual_bound", "reweight_xi", "max_reweight_iters", "inner_tol",
-         "inner_max_iters"},
-        set(),
-    )
+_SOLVER_READERS = {"reweight_xi": _number_or_null, "max_reweight_iters": _integer,
+                   "inner_tol": _number, "inner_max_iters": _integer}
+
+
+def _build_solver(cfg, path: str = "solver") -> SolverConfig:
+    """The default solver with the keys ``cfg`` holds replaced."""
+    cfg = _expect_dict({} if cfg is None else cfg, path)
+    _check_keys(cfg, path, set(_SOLVER_READERS), set())
     try:
-        return SolverConfig(
-            residual_bound=default.residual_bound if cfg.get("residual_bound") is None
-            else _number(cfg, path, "residual_bound"),
-            reweight_xi=default.reweight_xi if cfg.get("reweight_xi") is None
-            else _number(cfg, path, "reweight_xi"),
-            max_reweight_iters=_integer(
-                cfg, path, "max_reweight_iters", default=default.max_reweight_iters
-            ),
-            inner_tol=_number(cfg, path, "inner_tol", default=default.inner_tol),
-            inner_max_iters=_integer(
-                cfg, path, "inner_max_iters", default=default.inner_max_iters
-            ),
-        )
+        return replace(_default_solver(), **_present(cfg, path, _SOLVER_READERS))
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 
@@ -320,6 +308,27 @@ def _build_algorithms(cfg: dict, path: str) -> tuple:
                 f"(choose from {list(ALGORITHMS)})"
             )
     return tuple(algs)
+
+
+_SHARED_READERS = {"music_smoothing": _boolean, "epsilon_factor": _number,
+                   "delta_factor": _number, "subspace_retry": _boolean}
+_SHARED_KEYS = {"geometry", "grid", "algorithms", "solver", *_SHARED_READERS}
+
+
+def _shared_settings(cfg: dict, keys: set, required: set) -> dict:
+    """Keyword arguments for the fields EstimatorSettings and ExperimentPlan share.
+
+    ``keys`` are the command's own top-level keys and ``required`` those it
+    needs. An optional shared key the config leaves out is left out here.
+    """
+    _check_keys(cfg, "config", _SHARED_KEYS | keys, {"geometry", "grid", "algorithms"} | required)
+    return {
+        "geometry": _build_geometry(cfg["geometry"]),
+        "grid": _build_grid(cfg["grid"]),
+        "algorithms": _build_algorithms(cfg, "config"),
+        **_present(cfg, "config", _SHARED_READERS),
+        "solver": _build_solver(cfg.get("solver")),
+    }
 
 
 def _load_config(path: str) -> dict:
@@ -366,19 +375,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
-    _check_keys(
-        cfg, "config",
-        {"geometry", "grid", "num_paths", "algorithms", "focus_frequency_hz",
-         "music_smoothing", "epsilon", "epsilon_factor", "delta_factor",
-         "subspace_retry", "solver"},
-        {"geometry", "grid", "num_paths", "algorithms"},
-    )
-    geometry = _build_geometry(cfg["geometry"])
-    grid = _build_grid(cfg["grid"])
+    shared = _shared_settings(cfg, {"num_paths", "focus_frequency_hz", "epsilon"}, {"num_paths"})
     try:
         bins = read_snapshots_csv(args.snapshots)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    geometry = shared["geometry"]
     if bins[0].num_sensors != geometry.num_sensors:
         raise ConfigError(
             f"snapshots have {bins[0].num_sensors} sensors but geometry.num_sensors "
@@ -386,19 +388,10 @@ def _cmd_estimate(args) -> int:
         )
     try:
         settings = EstimatorSettings(
-            geometry=geometry,
-            grid=grid,
             num_paths=_integer(cfg, "config", "num_paths"),
-            algorithms=_build_algorithms(cfg, "config"),
-            focus_frequency_hz=None if cfg.get("focus_frequency_hz") is None
-            else _number(cfg, "config", "focus_frequency_hz"),
-            music_smoothing=_boolean(cfg, "config", "music_smoothing", False),
-            epsilon=None if cfg.get("epsilon") is None
-            else _number(cfg, "config", "epsilon"),
-            epsilon_factor=_number(cfg, "config", "epsilon_factor", default=1.1),
-            delta_factor=_number(cfg, "config", "delta_factor", default=1.5),
-            subspace_retry=_boolean(cfg, "config", "subspace_retry", True),
-            solver=_build_solver(cfg.get("solver")),
+            **_present(cfg, "config", {"focus_frequency_hz": _number_or_null,
+                                       "epsilon": _number_or_null}),
+            **shared,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -424,19 +417,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    threads = _bench_threads(args.threads)
+    if args.threads < 1:
+        raise ConfigError(f"--threads: expected a positive integer, got {args.threads}")
     cfg = _load_config(args.config)
-    _check_keys(
-        cfg, "config",
-        {"geometry", "grid", "scenario", "signal", "snr_db", "trials",
-         "algorithms", "seed", "match_window_deg", "music_smoothing",
-         "epsilon_factor", "delta_factor", "subspace_retry", "solver"},
-        {"geometry", "grid", "scenario", "signal", "snr_db", "trials",
-         "algorithms", "seed"},
+    shared = _shared_settings(
+        cfg,
+        {"scenario", "signal", "snr_db", "trials", "seed", "match_window_deg"},
+        {"scenario", "signal", "snr_db", "trials", "seed"},
     )
-    geometry = _build_geometry(cfg["geometry"])
-    grid = _build_grid(cfg["grid"])
-    paths = _build_paths(cfg["scenario"], geometry)
+    paths = _build_paths(cfg["scenario"], shared["geometry"])
     band, num_bins, num_snapshots, coherence = _build_signal(cfg["signal"])
     snr_raw = cfg["snr_db"]
     if not isinstance(snr_raw, list) or not snr_raw:
@@ -445,28 +434,21 @@ def _cmd_bench(args) -> int:
     try:
         plan = ExperimentPlan(
             paths=paths,
-            geometry=geometry,
-            grid=grid,
             snr_list=tuple(_as_number(s, f"config.snr_db[{i}]", allow_inf=True)
                            for i, s in enumerate(snr_raw)),
             trials=_integer(cfg, "config", "trials"),
-            algorithms=_build_algorithms(cfg, "config"),
             seed=seed,
             band_hz=band,
             num_bins=num_bins,
             num_snapshots=num_snapshots,
             coherence=coherence,
-            match_window_deg=_number(cfg, "config", "match_window_deg", default=3.0),
-            music_smoothing=_boolean(cfg, "config", "music_smoothing", False),
-            epsilon_factor=_number(cfg, "config", "epsilon_factor", default=1.1),
-            delta_factor=_number(cfg, "config", "delta_factor", default=1.5),
-            subspace_retry=_boolean(cfg, "config", "subspace_retry", True),
-            solver=_build_solver(cfg.get("solver")),
+            **_present(cfg, "config", {"match_window_deg": _number}),
+            **shared,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
-    report = run_experiment(plan, threads=threads)
+    report = run_experiment(plan, threads=args.threads)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -475,24 +457,6 @@ def _cmd_bench(args) -> int:
     write_report_json(out / "report.json", report, meta)
     print(f"wrote {out / 'report.csv'} and {out / 'report.json'}")
     return EXIT_OK
-
-
-def _bench_threads(flag) -> int:
-    """Worker threads of ``bench``: ``--threads``, else RAYSEP_THREADS, else 1."""
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError(f"--threads: expected a positive integer, got {flag}")
-        return flag
-    env = os.environ.get("RAYSEP_THREADS")
-    if env is None:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"RAYSEP_THREADS: expected a positive integer, got {env!r}")
-    return threads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,8 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--snapshots", required=True, help="snapshots CSV path")
         if name == "bench":
             p.add_argument(
-                "--threads", type=int, default=None,
-                help="worker threads (default: RAYSEP_THREADS or 1)",
+                "--threads", type=int, default=1, help="worker threads (default: 1)",
             )
     return parser
 

@@ -80,6 +80,13 @@ def write_snapshots_csv(path, bins: list, provenance: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _field(fields: dict, key: str, path, line: str) -> str:
+    """The value of ``key`` on a '#' line of a snapshots file."""
+    if key not in fields:
+        raise ValueError(f"{path}: missing field '{key}' in line '{line}'")
+    return fields[key]
+
+
 def read_snapshots_csv(path) -> list:
     """Parse a snapshots file back into SnapshotMatrix objects."""
     num_sensors = num_snapshots = num_bins = None
@@ -111,12 +118,12 @@ def read_snapshots_csv(path) -> list:
             )
             if "M" in fields:
                 num_sensors = int(fields["M"])
-                num_snapshots = int(fields["L"])
-                num_bins = int(fields["B"])
-                noise_power = float(fields["noise_power"])
+                num_snapshots = int(_field(fields, "L", path, line))
+                num_bins = int(_field(fields, "B", path, line))
+                noise_power = float(_field(fields, "noise_power", path, line))
             if "bin" in fields:
                 flush()
-                frequency = float(fields["frequency_hz"])
+                frequency = float(_field(fields, "frequency_hz", path, line))
             continue
         rows.append([float(c) for c in line.split(",")])
     flush()

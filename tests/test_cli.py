@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from raysep import ArrayGeometry
 from raysep.cli import main
 from raysep.fileio import read_snapshots_csv
 
@@ -245,22 +247,6 @@ def test_estimate_infeasible_subspace_bound_is_numerical_failure(tmp_path, capsy
     assert "residual" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(monkeypatch):
-    from raysep.cli import _bench_threads, build_parser
-
-    # the parser leaves the count to bench, which reads RAYSEP_THREADS
-    monkeypatch.setenv("RAYSEP_THREADS", "7")
-    args = build_parser().parse_args(["bench", "--config", "x", "--out", "y"])
-    assert args.threads is None
-    assert _bench_threads(args.threads) == 7
-    monkeypatch.delenv("RAYSEP_THREADS")
-    assert _bench_threads(None) == 1
-    args = build_parser().parse_args(
-        ["bench", "--config", "x", "--out", "y", "--threads", "3"]
-    )
-    assert _bench_threads(args.threads) == 3
-
-
 @pytest.mark.parametrize("flag", ["0", "-3"])
 def test_bench_threads_flag_below_one_is_a_config_error(tmp_path, capsys, flag):
     cfg = write_config(tmp_path / "bench.json", bench_config())
@@ -268,27 +254,6 @@ def test_bench_threads_flag_below_one_is_a_config_error(tmp_path, capsys, flag):
     assert code == 2
     assert f"--threads: expected a positive integer, got {flag}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_bench_threads_env_that_is_not_a_positive_integer_is_a_config_error(
-    tmp_path, capsys, monkeypatch, value
-):
-    cfg = write_config(tmp_path / "bench.json", bench_config())
-    monkeypatch.setenv("RAYSEP_THREADS", value)
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"RAYSEP_THREADS: expected a positive integer, got {value!r}" in capsys.readouterr().err
-    # the flag, when given, is the count, and the variable is not read
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
-
-
-def test_simulate_and_estimate_do_not_read_the_threads_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("RAYSEP_THREADS", "abc")
-    sim = write_config(tmp_path / "sim.json", simulate_config())
-    assert main(["simulate", "--config", sim, "--out", str(tmp_path / "data")]) == 0
-    est = write_config(tmp_path / "est.json", estimate_config(algorithms=["music"]))
-    assert main(["estimate", "--config", est, "--snapshots",
-                 str(tmp_path / "data" / "snapshots.csv"), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command", [
@@ -455,3 +420,58 @@ def test_as_many_paths_as_sensors_is_a_config_error(tmp_path, capsys, command):
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     assert "num_paths must satisfy 1 <= num_paths < 8 sensors, got 8" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def library_default(cls, name):
+    (field,) = [f for f in dataclasses.fields(cls) if f.name == name]
+    return field.default_factory() if field.default is dataclasses.MISSING else field.default
+
+
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+def test_minimal_config_leaves_every_optional_field_to_the_library(tmp_path, monkeypatch, command):
+    class Built(Exception):
+        pass
+
+    def stop(*args, **kwargs):  # run_experiment(plan, ...) or estimate_spectra(bins, settings)
+        raise Built(args[-1], kwargs)
+
+    geometry = {"num_sensors": 8, "spacing_m": 0.5}
+    if command == "bench":
+        monkeypatch.setattr("raysep.cli.run_experiment", stop)
+        args = ["bench", "--config", write_config(tmp_path / "b.json", bench_config(geometry=geometry))]
+        optional = ["match_window_deg"]
+    else:
+        monkeypatch.setattr("raysep.cli.estimate_spectra", stop)
+        args = estimate_args(tmp_path, estimate_config(geometry=geometry))
+        optional = ["focus_frequency_hz", "epsilon"]
+    with pytest.raises(Built) as exc:
+        main(args + ["--out", str(tmp_path / "o")])
+    built, kwargs = exc.value.args
+    assert kwargs == ({"threads": 1} if command == "bench" else {})
+    for name in optional + ["music_smoothing", "epsilon_factor", "delta_factor",
+                            "subspace_retry", "solver"]:
+        assert getattr(built, name) == library_default(type(built), name), name
+    for name in ["sound_speed_mps", "reference_index"]:
+        assert getattr(built.geometry, name) == library_default(ArrayGeometry, name), name
+
+
+@pytest.mark.parametrize("value", [1e9, None])
+@pytest.mark.parametrize("command", ["bench", "estimate"])
+def test_solver_residual_bound_is_an_unknown_key(tmp_path, capsys, command, value):
+    # each algorithm derives its own bound, so a configured one would be ignored
+    solver = {"residual_bound": value}
+    if command == "bench":
+        args = ["bench", "--config", write_config(tmp_path / "b.json", bench_config(solver=solver))]
+    else:
+        args = estimate_args(tmp_path, estimate_config(solver=solver))
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert "solver: unknown key 'residual_bound'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_snapshots_header_without_noise_power_is_a_config_error(tmp_path, capsys):
+    args = estimate_args(tmp_path, estimate_config(algorithms=["music"]))
+    snapshots = tmp_path / "data" / "snapshots.csv"
+    snapshots.write_text(snapshots.read_text().replace(" noise_power=", " power="))
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert "missing field 'noise_power'" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import pytest
 from numpy.testing import assert_array_equal
 
 from raysep import (
@@ -41,6 +42,24 @@ def test_snapshots_header_validation(tmp_path):
         assert "header" in str(e)
     else:
         raise AssertionError("expected a header error")
+
+
+@pytest.mark.parametrize(
+    "field, line_start",
+    [("L", "# M="), ("B", "# M="), ("noise_power", "# M="), ("frequency_hz", "# bin=1")],
+    ids=["L", "B", "noise_power", "frequency_hz"],
+)
+def test_snapshots_line_without_a_field_names_the_field(tmp_path, field, line_start):
+    path = tmp_path / "snaps.csv"
+    write_snapshots_csv(path, sample_bins(), provenance_lines("0.0.0", "abc", 13))
+    lines = [
+        " ".join(kv for kv in line.split(" ") if not kv.startswith(f"{field}="))
+        if line.startswith(line_start) else line
+        for line in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"missing field '{field}' in line '{line_start}"):
+        read_snapshots_csv(path)
 
 
 def test_config_hash_is_order_insensitive():
