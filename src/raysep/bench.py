@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,10 +159,6 @@ def rmse(trial_estimates: list, truth, window_deg: float = 3.0) -> PathScores:
     )
 
 
-def _default_solver() -> SolverConfig:
-    return SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
-
-
 @dataclass(frozen=True)
 class EstimatorSettings:
     """How to turn synthesized or recorded snapshot bins into spectra.
@@ -180,6 +176,8 @@ class EstimatorSettings:
             ``None`` derives it from the recorded noise power.
         epsilon_factor: Scale on the derived noise-norm bound.
         delta_factor: Scale handed to ``choose_delta`` for subspace_cs.
+            ``epsilon``, ``epsilon_factor`` and ``delta_factor`` must be
+            nonnegative and finite.
         subspace_retry: The noise-floor residual allowance knows nothing
             about path cross terms, which dominate at high SNR and can push
             the requested bound below what any nonnegative fit can reach.
@@ -187,7 +185,8 @@ class EstimatorSettings:
             least-squares floor, above the bound. When True (default), it is
             asked to meet 1.1x that floor instead and marks its spectrum
             retried; when False the refusal propagates.
-        solver: Inner-solver tolerances for all sparse programs.
+        solver: Tolerances shared by the sparse programs; each is handed
+            the residual bound derived above as its own argument.
     """
 
     geometry: ArrayGeometry
@@ -200,9 +199,13 @@ class EstimatorSettings:
     epsilon_factor: float = 1.1
     delta_factor: float = 1.5
     subspace_retry: bool = True
-    solver: SolverConfig = field(default_factory=_default_solver)
+    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
+        for name in ("epsilon", "epsilon_factor", "delta_factor"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -268,10 +271,6 @@ class _TrialData:
         return self._smooth
 
 
-def _with_bound(config: SolverConfig, bound: float) -> SolverConfig:
-    return replace(config, residual_bound=float(bound))
-
-
 def _run_algorithm(data: _TrialData, alg: str):
     """One algorithm's spectrum for one data set."""
     state = data.state
@@ -289,15 +288,14 @@ def _run_algorithm(data: _TrialData, alg: str):
             bound = s.epsilon_factor * np.sqrt(
                 data.center.noise_power * s.geometry.num_sensors * snapshots
             )
-        config = _with_bound(s.solver, bound)
         if alg == "bpdn":
-            return bpdn(state.dictionary, data.center.data[:, 0], config)
-        return reweighted_cs(state.dictionary, data.center, config)
+            return bpdn(state.dictionary, data.center.data[:, 0], bound, s.solver)
+        return reweighted_cs(state.dictionary, data.center, bound, s.solver)
     if alg == "subspace_cs":
         dec = decompose(data.smoothed_covariance(), s.num_paths)
         lifted = state.lifted._with_vector(vectorize_signal_subspace(dec))
-        bound = choose_delta(dec, s.num_paths, factor=s.delta_factor)
-        return subspace_cs(lifted, _with_bound(s.solver, bound), retry=s.subspace_retry)
+        bound = choose_delta(dec, s.delta_factor)
+        return subspace_cs(lifted, bound, s.solver, retry=s.subspace_retry)
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
@@ -334,7 +332,8 @@ class ExperimentPlan:
             ``num_bins == 1`` makes everything narrowband.
         num_snapshots: Snapshots per bin.
         coherence: Amplitude model passed to the simulator.
-        match_window_deg: Peak-to-truth association window.
+        match_window_deg: Peak-to-truth association window; positive and
+            finite.
         music_smoothing / epsilon_factor / delta_factor / solver: Passed to
             the shared estimator settings.
     """
@@ -355,11 +354,15 @@ class ExperimentPlan:
     epsilon_factor: float = 1.1
     delta_factor: float = 1.5
     subspace_retry: bool = True
-    solver: SolverConfig = field(default_factory=_default_solver)
+    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not 0 < self.match_window_deg < np.inf:
+            raise ValueError(
+                f"match_window_deg must be positive and finite, got {self.match_window_deg}"
+            )
         if len(self.snr_list) == 0:
             raise ValueError("snr_list must not be empty")
         self.estimator_settings()  # validates algorithms and num_paths
@@ -447,15 +450,8 @@ class RmseReport:
             "snr_db": [float(s) for s in self.snr_list],
             "algorithms": list(self.algorithms),
             "entries": [
-                {
-                    "algorithm": e.algorithm,
-                    "snr_db": e.snr_db,
-                    "path_index": e.path_index,
-                    "rmse_deg": None if np.isnan(e.rmse_deg) else e.rmse_deg,
-                    "detection_rate": e.detection_rate,
-                    "trials_used": e.trials_used,
-                }
-                for e in self.entries
+                {**row, "rmse_deg": None if np.isnan(row["rmse_deg"]) else row["rmse_deg"]}
+                for row in self.rows()
             ],
             "per_trial_peaks_deg": detail,
             "flagged_trials": [list(t) for t in self.flagged_trials],

@@ -53,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +63,6 @@ from .bench import (
     ALGORITHMS,
     EstimatorSettings,
     ExperimentPlan,
-    _default_solver,
     detect_peaks,
     estimate_spectra,
     run_experiment,
@@ -288,11 +286,11 @@ _SOLVER_READERS = {"reweight_xi": _number_or_null, "max_reweight_iters": _intege
 
 
 def _build_solver(cfg, path: str = "solver") -> SolverConfig:
-    """The default solver with the keys ``cfg`` holds replaced."""
+    """``SolverConfig`` from the keys ``cfg`` holds; the rest keep its defaults."""
     cfg = _expect_dict({} if cfg is None else cfg, path)
     _check_keys(cfg, path, set(_SOLVER_READERS), set())
     try:
-        return replace(_default_solver(), **_present(cfg, path, _SOLVER_READERS))
+        return SolverConfig(**_present(cfg, path, _SOLVER_READERS))
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 

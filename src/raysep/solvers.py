@@ -52,7 +52,6 @@ import numpy as np
 
 from .arrays import AngleGrid, SteeringDictionary
 from .simulate import SnapshotMatrix
-from .spectral import SpectralMatrix
 from ._sweep import _WorkingSet, _cd_sweep
 from .subspace import LiftedSystem, SubspaceDecomposition
 
@@ -107,12 +106,11 @@ class SolverInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances shared by all solvers.
+    """Tolerances shared by the sparse solvers, with the benchmark's defaults.
+
+    Each solver takes its residual bound as its own argument.
 
     Args:
-        residual_bound: Upper bound on the data-fit residual norm (same
-            units as the data). ``None`` or 0 selects the exact-fit limit,
-            floored at 1e-9 of the data norm.
         reweight_xi: Stabilizer added to magnitudes in the reweighting
             update; ``None`` picks 1e-3 of the first pass's peak magnitude.
         max_reweight_iters: Cap on reweighting passes.
@@ -121,15 +119,12 @@ class SolverConfig:
         inner_max_iters: Coordinate-sweep budget per inner solve.
     """
 
-    residual_bound: float | None = None
     reweight_xi: float | None = None
-    max_reweight_iters: int = 10
-    inner_tol: float = 1e-6
-    inner_max_iters: int = 2000
+    max_reweight_iters: int = 6
+    inner_tol: float = 1e-4
+    inner_max_iters: int = 600
 
     def __post_init__(self):
-        if self.residual_bound is not None and self.residual_bound < 0:
-            raise ValueError("residual_bound must be nonnegative")
         if self.reweight_xi is not None and self.reweight_xi <= 0:
             raise ValueError("reweight_xi must be positive")
         if self.inner_tol <= 0 or self.inner_max_iters < 1 or self.max_reweight_iters < 1:
@@ -402,10 +397,12 @@ def _cd_lasso(
     return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history)
 
 
-def _effective_bound(bound: float | None, data_norm: float) -> float:
-    if bound is None:
-        bound = 0.0
-    return max(float(bound), _BOUND_FLOOR_REL * data_norm)
+def _effective_bound(bound: float, data_norm: float) -> float:
+    """``bound`` floored at the exact-fit limit; a negative or NaN bound is refused."""
+    bound = float(bound)
+    if not bound >= 0.0:
+        raise ValueError(f"residual bound must be nonnegative, got {bound}")
+    return max(bound, _BOUND_FLOOR_REL * data_norm)
 
 
 @dataclass
@@ -814,7 +811,7 @@ def _zero_spectrum(grid, method, bound, data_norm, dtype=float) -> SparseSpectru
 
 
 def bpdn(
-    dictionary: SteeringDictionary, snapshot, config: SolverConfig | None = None
+    dictionary: SteeringDictionary, snapshot, bound: float, config: SolverConfig | None = None
 ) -> SparseSpectrum:
     """Basis-pursuit denoising: min ||s||_1 s.t. ||G s - y||_2 <= bound.
 
@@ -824,8 +821,10 @@ def bpdn(
     Args:
         dictionary: Over-complete steering dictionary.
         snapshot: Complex observation vector (length num_sensors).
-        config: Solver tolerances; ``residual_bound`` is the noise-norm
-            bound. ``None`` or 0 requests the exact-fit limit.
+        bound: Noise-norm bound epsilon on the residual. 0 requests the
+            exact-fit limit, floored at 1e-9 of the data norm; a negative
+            or NaN bound raises ``ValueError``.
+        config: Solver tolerances.
 
     Returns:
         SparseSpectrum with complex values over the grid.
@@ -834,21 +833,22 @@ def bpdn(
     y = _snapshot_array(snapshot)
     if y.shape[1] != 1:
         raise ValueError("bpdn takes a single snapshot; use reweighted_cs for several")
-    spectrum = reweighted_cs(dictionary, y, replace(config, max_reweight_iters=1))
+    spectrum = reweighted_cs(dictionary, y, bound, replace(config, max_reweight_iters=1))
     return replace(spectrum, method="bpdn")
 
 
 def reweighted_cs(
-    dictionary: SteeringDictionary, snapshots, config: SolverConfig | None = None
+    dictionary: SteeringDictionary, snapshots, bound: float, config: SolverConfig | None = None
 ) -> SparseSpectrum:
     """Iteratively reweighted l1 recovery over one or more snapshots.
 
-    The first pass runs with unit weights. After each pass the magnitude of
-    every grid angle is aggregated across snapshots (sum of absolute
-    values) and the next pass weights each angle by
-    ``1 / (aggregate + xi)``, so angles with persistent energy get cheap
-    and the rest are driven to zero. It runs ``max_reweight_iters`` passes,
-    or stops after the first if that returns all zeros.
+    Every pass keeps the residual over all snapshots within ``bound``, taken
+    as by ``bpdn``. The first pass runs with unit weights. After each pass
+    the magnitude of every grid angle is aggregated across snapshots (sum of
+    absolute values) and the next pass weights each angle by ``1 /
+    (aggregate + xi)``, so angles with persistent energy get cheap and the
+    rest are driven to zero. It runs ``max_reweight_iters`` passes, or stops
+    after the first if that returns all zeros.
 
     Returns:
         SparseSpectrum; complex values for a single snapshot, nonnegative
@@ -864,7 +864,7 @@ def reweighted_cs(
     num_l = y.shape[1]
     grid = dictionary.grid
     data_norm = float(np.linalg.norm(y))
-    bound = _effective_bound(config.residual_bound, data_norm)
+    bound = _effective_bound(bound, data_norm)
     if data_norm <= bound:
         return _zero_spectrum(
             grid, "reweighted_cs", bound, data_norm,
@@ -903,7 +903,7 @@ def reweighted_cs(
 
 
 def subspace_cs(
-    lifted: LiftedSystem, config: SolverConfig | None = None, retry: bool = False
+    lifted: LiftedSystem, bound: float, config: SolverConfig | None = None, retry: bool = False
 ) -> SparseSpectrum:
     """Nonnegative l1 recovery of path powers from the lifted system.
 
@@ -921,8 +921,9 @@ def subspace_cs(
 
     Args:
         lifted: Vectorized signal subspace and lifted dictionary.
-        config: Tolerances; ``residual_bound`` is the covariance-domain
-            residual allowance (see ``choose_delta``).
+        bound: Covariance-domain residual allowance delta (see
+            ``choose_delta``), taken as by ``bpdn``.
+        config: Tolerances; ``inner_tol`` decides ``converged``.
         retry: Meet a bound below the floor at 1.1 x the floor instead of
             refusing it. The spectrum is then the walk's own point at that
             bound (or all zeros, if that bound covers the data), with
@@ -938,7 +939,7 @@ def subspace_cs(
     b = lifted.vector
     grid = lifted.grid
     data_norm = float(np.linalg.norm(b))
-    bound = _effective_bound(config.residual_bound, data_norm)
+    bound = _effective_bound(bound, data_norm)
     if data_norm <= bound:
         return _zero_spectrum(grid, "subspace_cs", bound, data_norm)
 
@@ -954,8 +955,8 @@ def subspace_cs(
     )
 
 
-def choose_delta(spectral, num_paths: int, factor: float = 1.5) -> float:
-    """Residual allowance for ``subspace_cs`` from the noise eigenvalues.
+def choose_delta(decomposition: SubspaceDecomposition, factor: float) -> float:
+    """Residual allowance delta for ``subspace_cs`` from the noise eigenvalues.
 
     Takes the root-sum-square of the eigenvalues outside the signal
     subspace, scaled by ``factor``, plus a floor of 1e-9 times the
@@ -963,21 +964,13 @@ def choose_delta(spectral, num_paths: int, factor: float = 1.5) -> float:
     selects strict interpolation of the signal subspace.
 
     Args:
-        spectral: SpectralMatrix, SubspaceDecomposition, or a 1-D array of
-            eigenvalues (any order).
-        num_paths: Signal-subspace dimension.
+        decomposition: Eigenvalues (descending) and signal-subspace
+            dimension of the covariance.
         factor: Scale on the noise-floor estimate.
     """
-    if isinstance(spectral, SubspaceDecomposition):
-        lam = spectral.eigenvalues
-    elif isinstance(spectral, SpectralMatrix):
-        lam = np.linalg.eigvalsh(spectral.matrix)[::-1]
-    else:
-        lam = np.sort(np.asarray(spectral, dtype=float))[::-1]
-    if not 1 <= num_paths <= lam.size:
-        raise ValueError(f"num_paths must lie in [1, {lam.size}]")
-    if factor < 0:
-        raise ValueError("factor must be nonnegative")
+    if not factor >= 0:
+        raise ValueError(f"factor must be nonnegative, got {factor}")
+    lam, num_paths = decomposition.eigenvalues, decomposition.num_paths
     noise = float(np.sqrt(np.sum(lam[num_paths:] ** 2)))
     signal = float(np.sqrt(np.sum(lam[:num_paths] ** 2)))
     return factor * noise + _BOUND_FLOOR_REL * signal

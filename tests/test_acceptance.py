@@ -8,7 +8,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from raysep import (
     AngleGrid,
@@ -116,18 +115,18 @@ def test_criterion_03_noise_free_exact_recovery():
     qstar = grid.nearest_index(12.4)
     amplitude = 1.3 - 0.4j
     y = amplitude * d.matrix[:, qstar]
-    cfg = SolverConfig(residual_bound=0.0, inner_tol=1e-6, inner_max_iters=4000)
+    cfg = SolverConfig(inner_tol=1e-6, inner_max_iters=4000)
 
     start = time.perf_counter()
     results = {
-        "bpdn": bpdn(d, y, cfg),
-        "reweighted_cs": reweighted_cs(d, y, cfg),
+        "bpdn": bpdn(d, y, 0.0, cfg),
+        "reweighted_cs": reweighted_cs(d, y, 0.0, cfg),
     }
     spectral = SpectralMatrix(
         np.outer(y, y.conj()), num_snapshots=1, frequency_hz=1500.0
     )
     lifted = build_lifted_system(decompose(spectral, 1), d)
-    results["subspace_cs"] = subspace_cs(lifted, cfg)
+    results["subspace_cs"] = subspace_cs(lifted, 0.0, cfg)
     elapsed = time.perf_counter() - start
 
     ratios = {}
@@ -149,7 +148,7 @@ def test_criterion_04_small_instance_solver_oracle():
     d = build_dictionary(grid, 1500.0, geom)
     assert len(grid) == 21
     rng = np.random.default_rng(104)
-    cfg = SolverConfig(residual_bound=0.0, inner_tol=1e-6, inner_max_iters=4000)
+    cfg = SolverConfig(inner_tol=1e-6, inner_max_iters=4000)
     matched = 0
     for _ in range(50):
         p = int(rng.integers(1, 3))
@@ -175,7 +174,7 @@ def test_criterion_04_small_instance_solver_oracle():
                 if l1 < best_l1 - 1e-12:
                     best_l1, oracle = l1, (combo, fit)
 
-        spec = bpdn(d, y, cfg)
+        spec = bpdn(d, y, 0.0, cfg)
         got = tuple(np.flatnonzero(np.abs(spec.values) > 1e-5 * np.max(np.abs(spec.values))))
         if got == oracle[0] and np.allclose(spec.values[list(got)], oracle[1], atol=1e-5):
             matched += 1
@@ -202,11 +201,8 @@ def test_criterion_05_coherent_separation_headline():
         lifted = build_lifted_system(dec, d)
         from raysep import choose_delta
 
-        cfg = SolverConfig(
-            residual_bound=choose_delta(dec, 5, factor=1.5),
-            inner_tol=1e-4, inner_max_iters=600,
-        )
-        peaks = detect_peaks(subspace_cs(lifted, cfg), 5)
+        cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600)
+        peaks = detect_peaks(subspace_cs(lifted, choose_delta(dec, 1.5), cfg), 5)
         matches, _ = _match_peaks(peaks, truth, 0.6)
         sub_success += len(matches) == 5
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 import raysep.bench
 import raysep.simulate
@@ -420,14 +420,11 @@ def test_subspace_retry_solves_at_the_certified_floor():
 
     # the retry is the refused walk's point; compare it with a walk of its own
     dec = decompose(data.smoothed_covariance(), 5)
-    bound = choose_delta(dec, 5, factor=settings.delta_factor)
+    bound = choose_delta(dec, settings.delta_factor)
     with pytest.raises(SolverInfeasibleError) as exc:
-        subspace_cs(
-            build_lifted_system(dec, dictionary), replace(settings.solver, residual_bound=bound)
-        )
+        subspace_cs(build_lifted_system(dec, dictionary), bound, settings.solver)
     direct = subspace_cs(
-        build_lifted_system(dec, dictionary),
-        replace(settings.solver, residual_bound=1.1 * exc.value.min_residual),
+        build_lifted_system(dec, dictionary), 1.1 * exc.value.min_residual, settings.solver
     )
     assert not direct.retried
     assert_array_equal(retried.values, direct.values)
@@ -480,9 +477,9 @@ def test_a_run_lifts_once_and_its_path_memo_ends_with_it(monkeypatch):
         built.append(system)
         post_init(system)
 
-    def recorded_solve(lifted, config=None, retry=False):
+    def recorded_solve(lifted, bound, config=None, retry=False):
         solved.append(lifted)
-        return solve(lifted, config, retry)
+        return solve(lifted, bound, config, retry)
 
     monkeypatch.setattr(raysep.bench, "lift_dictionary", counted_lift)
     monkeypatch.setattr(raysep.subspace.LiftedSystem, "__post_init__", counted_post_init)
@@ -511,9 +508,9 @@ def test_a_table1_sweep_stays_inside_the_path_memo_bound(monkeypatch):
     geom, paths, grid = table1_fixture()
     solve, solved = raysep.bench.subspace_cs, []
 
-    def recorded_solve(lifted, config=None, retry=False):
+    def recorded_solve(lifted, bound, config=None, retry=False):
         solved.append(lifted)
-        return solve(lifted, config, retry)
+        return solve(lifted, bound, config, retry)
 
     monkeypatch.setattr(raysep.bench, "subspace_cs", recorded_solve)
     run_experiment(ExperimentPlan(
@@ -735,9 +732,7 @@ def public_values():
         "SpectralMatrix": spectral,
         "SubspaceDecomposition": decomposition,
         "LiftedSystem": lifted,
-        "SparseSpectrum": subspace_cs(
-            lifted, SolverConfig(residual_bound=0.5 * np.linalg.norm(lifted.vector))
-        ),
+        "SparseSpectrum": subspace_cs(lifted, 0.5 * np.linalg.norm(lifted.vector)),
         "PseudoSpectrum": music_spectrum(spectral, 2, dictionary),
         "RmseReport": run_experiment(plan),
         "PathScores": rmse([np.array([-20.0, 15.0])], paths),

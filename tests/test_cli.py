@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from raysep import ArrayGeometry
+from raysep import ArrayGeometry, EstimatorSettings, ExperimentPlan, SolverConfig
 from raysep.cli import main
 from raysep.fileio import read_snapshots_csv
 
@@ -289,6 +289,20 @@ def test_partial_solver_block_keeps_the_default_solver():
     assert _build_solver({"max_reweight_iters": 2}).max_reweight_iters == 2
 
 
+def test_a_partial_solver_block_builds_what_solver_config_builds():
+    from raysep.cli import _build_solver
+
+    assert _build_solver({"inner_tol": 1e-3}) == SolverConfig(**{"inner_tol": 1e-3})
+
+
+def test_every_default_solver_is_the_solver_config_default():
+    from raysep.cli import _build_solver
+
+    assert library_default(ExperimentPlan, "solver") == SolverConfig()
+    assert library_default(EstimatorSettings, "solver") == SolverConfig()
+    assert _build_solver(None) == SolverConfig()
+
+
 @pytest.mark.parametrize(
     "section, key, value, field",
     [
@@ -466,6 +480,32 @@ def test_solver_residual_bound_is_an_unknown_key(tmp_path, capsys, command, valu
         args = estimate_args(tmp_path, estimate_config(solver=solver))
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     assert "solver: unknown key 'residual_bound'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("estimate", "epsilon"),
+        ("estimate", "epsilon_factor"),
+        ("estimate", "delta_factor"),
+        ("bench", "epsilon_factor"),
+        ("bench", "delta_factor"),
+        ("bench", "match_window_deg"),
+    ],
+)
+def test_negative_or_nan_setting_is_a_config_error(tmp_path, capsys, command, key, value):
+    # json writes and reads NaN as a bare literal, so a config can hold one
+    algorithms = ["subspace_cs", "bpdn"]
+    if command == "bench":
+        cfg = bench_config(algorithms=algorithms, **{key: value})
+        args = ["bench", "--config", write_config(tmp_path / "b.json", cfg)]
+    else:
+        args = estimate_args(tmp_path, estimate_config(algorithms=algorithms, **{key: value}))
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
     assert not (tmp_path / "o").exists()
 
 

@@ -44,7 +44,7 @@ from raysep.solvers import _polish_complex
 # At the exact-fit floor the penalty is ~1e-9 of the data scale, so a
 # penalty-relative stationarity certificate below ~1e-7 drowns in float
 # round-off; 1e-6 is the tightest certifiable setting.
-TIGHT = SolverConfig(residual_bound=0.0, inner_tol=1e-6, inner_max_iters=4000)
+TIGHT = SolverConfig(inner_tol=1e-6, inner_max_iters=4000)
 
 
 def small_dictionary():
@@ -79,7 +79,7 @@ def exhaustive_l1_oracle(a: np.ndarray, y: np.ndarray, max_support: int):
 
 def test_bpdn_zero_data_returns_zero():
     _, _, d = medium_dictionary()
-    spec = bpdn(d, np.zeros(11, dtype=complex))
+    spec = bpdn(d, np.zeros(11, dtype=complex), 0.0)
     assert np.all(spec.values == 0)
     assert spec.converged
 
@@ -87,7 +87,7 @@ def test_bpdn_zero_data_returns_zero():
 def test_bpdn_loose_bound_returns_zero():
     _, grid, d = medium_dictionary()
     y = d.matrix[:, 40]
-    spec = bpdn(d, y, SolverConfig(residual_bound=float(np.linalg.norm(y))))
+    spec = bpdn(d, y, float(np.linalg.norm(y)))
     assert np.all(spec.values == 0)
 
 
@@ -95,7 +95,7 @@ def test_bpdn_single_atom_exact_recovery():
     _, grid, d = medium_dictionary()
     qstar = 123
     y = (1.5 - 0.5j) * d.matrix[:, qstar]
-    spec = bpdn(d, y, TIGHT)
+    spec = bpdn(d, y, 0.0, TIGHT)
     mags = np.abs(spec.values)
     off = np.delete(mags, qstar)
     assert mags[qstar] > 1.0
@@ -105,14 +105,15 @@ def test_bpdn_single_atom_exact_recovery():
 
 
 def test_bpdn_negative_bound_rejected():
+    _, _, d = medium_dictionary()
     with pytest.raises(ValueError):
-        SolverConfig(residual_bound=-1.0)
+        bpdn(d, d.matrix[:, 40], -1.0)
 
 
 def test_bpdn_dimension_check():
     _, _, d = medium_dictionary()
     with pytest.raises(ValueError):
-        bpdn(d, np.zeros(7, dtype=complex))
+        bpdn(d, np.zeros(7, dtype=complex), 0.0)
 
 
 def test_bpdn_matches_exhaustive_oracle():
@@ -125,7 +126,7 @@ def test_bpdn_matches_exhaustive_oracle():
         support = np.sort(rng.choice(len(grid), size=p, replace=False))
         coef = (rng.uniform(0.5, 2.0, p) * np.exp(2j * np.pi * rng.random(p)))
         y = d.matrix[:, support] @ coef
-        spec = bpdn(d, y, TIGHT)
+        spec = bpdn(d, y, 0.0, TIGHT)
         oracle_support, oracle_coef = exhaustive_l1_oracle(d.matrix, y, 2)
         got_support = np.flatnonzero(np.abs(spec.values) > 1e-5 * np.max(np.abs(spec.values)))
         if tuple(got_support) == tuple(oracle_support) and np.allclose(
@@ -140,10 +141,10 @@ def test_reweighted_single_snapshot_matches_bpdn_limit():
     _, grid, d = medium_dictionary()
     qstar = 60
     y = 2.0 * d.matrix[:, qstar]
-    cfg = SolverConfig(residual_bound=0.0, reweight_xi=1e9, max_reweight_iters=2,
-                       inner_tol=1e-8, inner_max_iters=4000)
-    rw = reweighted_cs(d, y, cfg)
-    bp = bpdn(d, y, TIGHT)
+    cfg = SolverConfig(reweight_xi=1e9, max_reweight_iters=2, inner_tol=1e-8,
+                       inner_max_iters=4000)
+    rw = reweighted_cs(d, y, 0.0, cfg)
+    bp = bpdn(d, y, 0.0, TIGHT)
     assert_allclose(rw.values, bp.values, atol=1e-5)
 
 
@@ -151,7 +152,7 @@ def test_reweighted_noise_free_single_source():
     _, grid, d = medium_dictionary()
     qstar = 95
     y = 1.7 * d.matrix[:, qstar]
-    rw = reweighted_cs(d, y, TIGHT)
+    rw = reweighted_cs(d, y, 0.0, TIGHT)
     mags = np.abs(rw.values)
     assert np.argmax(mags) == qstar
     assert np.max(np.delete(mags, qstar)) < 1e-6 * mags[qstar]
@@ -161,7 +162,7 @@ def test_reweighted_fixed_point_weight_identity():
     _, grid, d = medium_dictionary()
     qstar = 95
     y = 1.7 * d.matrix[:, qstar]
-    rw = reweighted_cs(d, y, TIGHT)
+    rw = reweighted_cs(d, y, 0.0, TIGHT)
     agg = np.abs(rw.values)
     xi = 1e-3 * agg.max()
     weights = 1.0 / (agg + xi)
@@ -175,9 +176,8 @@ def test_reweighted_multisnapshot_resolves_incoherent_pair():
     paths = RaypathSet([-4.0, 6.0], [1.0, 1.0], [0.0, 0.002])
     snap = synthesize_snapshots(paths, 1500.0, 50, NoiseSpec(10.0, 11), geom, "incoherent")
     eps = 1.1 * np.sqrt(snap.noise_power * 11 * 50)
-    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
-                       max_reweight_iters=4)
-    rw = reweighted_cs(d, snap, cfg)
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=4)
+    rw = reweighted_cs(d, snap, eps, cfg)
     assert np.all(rw.values >= 0)  # aggregated magnitudes
     peaks = detect_peaks(rw, 2)
     assert peaks.size == 2
@@ -196,14 +196,14 @@ def lifted_single_path(power=3.0, qstar=110):
 def test_subspace_cs_zero_data():
     lifted, grid, _, _ = lifted_single_path()
     zero = LiftedSystem(np.zeros_like(lifted.vector), lifted.matrix, grid)
-    spec = subspace_cs(zero)
+    spec = subspace_cs(zero, 0.0)
     assert np.all(spec.values == 0)
     assert spec.converged
 
 
 def test_subspace_cs_noise_free_single_path():
     lifted, grid, qstar, power = lifted_single_path()
-    spec = subspace_cs(lifted, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
+    spec = subspace_cs(lifted, 0.0, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
     assert np.all(spec.values >= 0)
     assert np.argmax(spec.values) == qstar
     assert abs(spec.values[qstar] - power) < 1e-5
@@ -212,9 +212,9 @@ def test_subspace_cs_noise_free_single_path():
 
 def test_subspace_cs_scaling_covariance():
     lifted, grid, qstar, power = lifted_single_path()
-    spec = subspace_cs(lifted, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
+    spec = subspace_cs(lifted, 0.0, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
     scaled = LiftedSystem(5.0 * lifted.vector, lifted.matrix, grid)
-    spec5 = subspace_cs(scaled, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
+    spec5 = subspace_cs(scaled, 0.0, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
     assert np.argmax(spec5.values) == np.argmax(spec.values)
     assert_allclose(spec5.values[qstar] / spec.values[qstar], 5.0, rtol=1e-6)
 
@@ -228,7 +228,7 @@ def test_subspace_cs_matches_nonneg_oracle_small_instance():
         powers = rng.uniform(0.5, 2.0, 2)
         vec = lifted_matrix[:, support] @ powers
         lifted = LiftedSystem(vec, lifted_matrix, grid)
-        spec = subspace_cs(lifted, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
+        spec = subspace_cs(lifted, 0.0, SolverConfig(inner_tol=1e-8, inner_max_iters=4000))
         got = np.flatnonzero(spec.values > 1e-5 * spec.values.max())
         assert tuple(got) == tuple(support)
         assert_allclose(spec.values[support], powers, atol=1e-5)
@@ -240,13 +240,13 @@ def test_subspace_cs_infeasible_bound_reports_min_residual():
     lifted_matrix = lift_dictionary(d)
     vec = -np.sum(lifted_matrix, axis=1) / lifted_matrix.shape[1]
     lifted = LiftedSystem(vec, lifted_matrix, grid)
-    cfg = SolverConfig(residual_bound=1e-6 * np.linalg.norm(vec))
+    bound = 1e-6 * np.linalg.norm(vec)
     with pytest.raises(SolverInfeasibleError) as exc:
-        subspace_cs(lifted, cfg)
+        subspace_cs(lifted, bound)
     assert exc.value.min_residual > 0
     # no p >= 0 beats p = 0 here, so 1.1 x the floor covers the data: a
     # requested retry gives the zero spectrum at that bound
-    spec = subspace_cs(lifted, cfg, retry=True)
+    spec = subspace_cs(lifted, bound, retry=True)
     assert spec.retried and spec.converged and not np.any(spec.values)
     assert spec.residual_bound == 1.1 * exc.value.min_residual >= spec.residual
 
@@ -293,9 +293,9 @@ def test_subspace_cs_refuses_unreachable_bound_with_certified_floor(monkeypatch)
         lifted = small_lifted_instance(seed)
         floor = exhaustive_nnls_residual(lifted.matrix, lifted.vector)
         with pytest.raises(SolverInfeasibleError, match="residual") as exc:
-            subspace_cs(lifted, SolverConfig(residual_bound=0.5 * floor))
+            subspace_cs(lifted, 0.5 * floor)
         assert exc.value.min_residual == pytest.approx(floor, rel=1e-9)
-    spec = subspace_cs(lifted, SolverConfig(residual_bound=1.5 * floor))
+    spec = subspace_cs(lifted, 1.5 * floor)
     assert spec.residual <= 1.5 * floor * (1 + 1e-6)
 
 
@@ -312,7 +312,7 @@ def test_subspace_cs_meets_the_exact_fit_bound_on_noiseless_lifted_data():
         k = int(rng.integers(1, 8))
         p = np.zeros(len(grid))
         p[rng.choice(len(grid), k, replace=False)] = rng.uniform(0.1, 2.0, k)
-        spec = subspace_cs(LiftedSystem(matrix @ p, matrix, grid))
+        spec = subspace_cs(LiftedSystem(matrix @ p, matrix, grid), 0.0)
         assert spec.residual <= spec.residual_bound
         assert spec.converged
 
@@ -332,7 +332,7 @@ def table1_lifted_system(snr_db: float, seed: int):
     )
     dec = decompose(focus_and_smooth(bins, 1500.0, grid, geom), 5)
     lifted = build_lifted_system(dec, build_dictionary(grid, 1500.0, geom))
-    return lifted, choose_delta(dec, 5)
+    return lifted, choose_delta(dec, 1.5)
 
 
 def assert_nonneg_lasso_stationary(lifted: LiftedSystem, p: np.ndarray):
@@ -355,10 +355,10 @@ def test_subspace_cs_path_is_stationary_and_lands_in_the_band():
     # at +20 dB the allowance is below the nonnegative floor: solve at the retry bound
     strong, strong_delta = table1_lifted_system(20.0, seed=3)
     with pytest.raises(SolverInfeasibleError) as exc:
-        subspace_cs(strong, replace(solver, residual_bound=strong_delta))
+        subspace_cs(strong, strong_delta, solver)
     bounds.append((strong, 1.1 * exc.value.min_residual))
     for system, bound in bounds:
-        spec = subspace_cs(system, replace(solver, residual_bound=bound))
+        spec = subspace_cs(system, bound, solver)
         assert 0.9 * bound <= spec.residual <= bound
         assert spec.converged
         assert spec.residual == pytest.approx(
@@ -369,7 +369,7 @@ def test_subspace_cs_path_is_stationary_and_lands_in_the_band():
     # a bound between the floor and floor / 0.95 is met by the end of the path
     small = small_lifted_instance(2)
     floor = exhaustive_nnls_residual(small.matrix, small.vector)
-    spec = subspace_cs(small, SolverConfig(residual_bound=1.02 * floor))
+    spec = subspace_cs(small, 1.02 * floor)
     assert spec.residual == pytest.approx(floor, rel=1e-9)
     assert spec.converged
 
@@ -387,15 +387,15 @@ def test_subspace_cs_solves_tight_reachable_bound():
         support = rng.choice(len(grid), size=3, replace=False)
         vec = matrix[:, support] @ rng.uniform(0.5, 2.0, 3)
         bound = 1e-7 * np.linalg.norm(vec)
-        spec = subspace_cs(LiftedSystem(vec, matrix, grid), SolverConfig(residual_bound=bound))
+        spec = subspace_cs(LiftedSystem(vec, matrix, grid), bound)
         assert spec.residual <= bound * (1 + 1e-6)
 
 def test_objective_history_monotone():
     _, grid, d = medium_dictionary()
     y = 2.0 * d.matrix[:, 44] - 0.7 * d.matrix[:, 101]
     for spec in (
-        bpdn(d, y, SolverConfig(residual_bound=0.5)),
-        reweighted_cs(d, y, SolverConfig(residual_bound=0.5, max_reweight_iters=3)),
+        bpdn(d, y, 0.5),
+        reweighted_cs(d, y, 0.5, SolverConfig(max_reweight_iters=3)),
     ):
         diffs = np.diff(spec.objective_history)
         assert np.all(diffs <= 1e-9 * max(1.0, abs(spec.objective_history[0])))
@@ -410,12 +410,37 @@ def test_solver_config_validation():
         SolverConfig(inner_max_iters=0)
 
 
+def test_solver_config_holds_only_the_tolerances_with_the_bench_defaults():
+    fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    assert fields == {"reweight_xi": None, "max_reweight_iters": 6, "inner_tol": 1e-4,
+                      "inner_max_iters": 600}
+
+
+@pytest.mark.parametrize("bound", [-1.0, np.nan])
+@pytest.mark.parametrize("solver", ["bpdn", "reweighted_cs", "subspace_cs"])
+def test_each_solver_rejects_a_negative_or_nan_bound(solver, bound):
+    _, _, d = medium_dictionary()
+    lifted, _, _, _ = lifted_single_path()
+    with pytest.raises(ValueError, match="residual bound must be nonnegative"):
+        {
+            "bpdn": lambda: bpdn(d, d.matrix[:, 40], bound),
+            "reweighted_cs": lambda: reweighted_cs(d, d.matrix[:, :2], bound),
+            "subspace_cs": lambda: subspace_cs(lifted, bound),
+        }[solver]()
+
+
+def test_a_config_in_the_place_of_the_bound_is_refused():
+    _, _, d = medium_dictionary()
+    with pytest.raises(TypeError):
+        bpdn(d, d.matrix[:, 40], SolverConfig())
+
+
 def test_choose_delta_noise_free_floor():
     lifted, grid, qstar, power = lifted_single_path()
     _, _, d = medium_dictionary()
     g = d.matrix[:, qstar]
     spectral = SpectralMatrix(power * np.outer(g, g.conj()), 1, 1500.0)
-    delta = choose_delta(spectral, 1)
+    delta = choose_delta(decompose(spectral, 1), 1.5)
     # pure rank-one: only the 1e-9 floor remains
     assert 0 < delta < 1e-6 * power * 11
 
@@ -425,26 +450,24 @@ def test_choose_delta_white_noise_scaling():
     m, num, sigma2, p = 11, 4000, 2.0, 2
     y = np.sqrt(sigma2 / 2) * (rng.standard_normal((m, num)) + 1j * rng.standard_normal((m, num)))
     spectral = SpectralMatrix(y @ y.conj().T / num, num, 1500.0)
-    delta = choose_delta(spectral, p, factor=1.5)
+    delta = choose_delta(decompose(spectral, p), 1.5)
     assert delta == pytest.approx(1.5 * sigma2 * np.sqrt(m - p), rel=0.25)
 
 
 def test_choose_delta_factor_zero_strict_mode():
     lam = np.array([5.0, 3.0, 1.0, 0.5])
-    delta = choose_delta(lam, 2, factor=0.0)
+    delta = choose_delta(decompose(np.diag(lam), 2), 0.0)
     assert delta == pytest.approx(1e-9 * np.sqrt(34.0), rel=1e-6)
 
 
 def test_choose_delta_validation():
     with pytest.raises(ValueError):
-        choose_delta(np.array([1.0, 0.5]), 3)
-    with pytest.raises(ValueError):
-        choose_delta(np.array([1.0, 0.5]), 1, factor=-1.0)
+        choose_delta(decompose(np.diag([1.0, 0.5]), 1), -1.0)
 
 
 def test_diagnostics_payload():
     _, grid, d = medium_dictionary()
-    spec = bpdn(d, d.matrix[:, 10], SolverConfig(residual_bound=0.1))
+    spec = bpdn(d, d.matrix[:, 10], 0.1)
     diag = spec.diagnostics()
     assert set(diag) == {"method", "iterations", "residual", "residual_bound",
                          "objective", "converged", "inner_solves", "peak_support",
@@ -524,13 +547,13 @@ def test_zero_spectrum_reports_data_norm_as_residual():
     _, grid, d = medium_dictionary()
     y = d.matrix[:, 40]
     norm = float(np.linalg.norm(y))
-    loose = SolverConfig(residual_bound=2.0 * norm)
+    loose = 2.0 * norm
     lifted, _, _, _ = lifted_single_path()
     vec_norm = float(np.linalg.norm(lifted.vector))
     for spec, data_norm in (
         (bpdn(d, y, loose), norm),
         (reweighted_cs(d, np.column_stack([y, y]), loose), np.sqrt(2) * norm),
-        (subspace_cs(lifted, SolverConfig(residual_bound=2.0 * vec_norm)), vec_norm),
+        (subspace_cs(lifted, 2.0 * vec_norm), vec_norm),
     ):
         assert np.all(spec.values == 0)
         assert spec.residual == pytest.approx(data_norm, rel=1e-12)
@@ -675,8 +698,7 @@ def test_reweighted_polishes_only_working_sets_the_sensors_resolve(monkeypatch):
     # polish runs on more rows than the 11 sensors.
     d, snap = table1_scene(20, 3)
     eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
-    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
-                       max_reweight_iters=6)
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
     rows = []
 
     def recording(a_sub, b, lam_sub, x):
@@ -684,7 +706,7 @@ def test_reweighted_polishes_only_working_sets_the_sensors_resolve(monkeypatch):
         return _polish_complex(a_sub, b, lam_sub, x)
 
     monkeypatch.setattr(raysep.solvers, "_polish_complex", recording)
-    reweighted_cs(d, snap, cfg)
+    reweighted_cs(d, snap, eps, cfg)
     assert rows
     assert max(rows) <= 11
 
@@ -840,8 +862,7 @@ def test_cd_sweeps_take_at_most_half_a_step_per_working_set_row(monkeypatch):
     # half as many steps as a row-by-row pass over the working sets would.
     d, snap = table1_scene(20, 3)
     eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
-    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
-                       max_reweight_iters=6)
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
     count = {"rows": 0, "steps": 0}
     sweep, steps, rows = raysep.solvers._cd_sweep, raysep._sweep._cd_steps, raysep._sweep._cd_rows
 
@@ -861,7 +882,7 @@ def test_cd_sweeps_take_at_most_half_a_step_per_working_set_row(monkeypatch):
     monkeypatch.setattr(raysep.solvers, "_cd_sweep", counted_sweep)
     monkeypatch.setattr(raysep._sweep, "_cd_steps", counted_steps)
     monkeypatch.setattr(raysep._sweep, "_cd_rows", counted_rows)
-    reweighted_cs(d, snap, cfg)
+    reweighted_cs(d, snap, eps, cfg)
     assert count["rows"] > 0
     assert count["steps"] <= 0.5 * count["rows"]
 
@@ -872,10 +893,9 @@ def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
     # polishes the working sets of at most 11 rows.
     d, snap = table1_scene(1, 5)
     eps = 1.1 * np.sqrt(snap.noise_power * 11)
-    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
-                       max_reweight_iters=6)
-    bp = bpdn(d, snap.data[:, 0], cfg)
-    rw = reweighted_cs(d, snap.data[:, 0], replace(cfg, max_reweight_iters=1))
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
+    bp = bpdn(d, snap.data[:, 0], eps, cfg)
+    rw = reweighted_cs(d, snap.data[:, 0], eps, replace(cfg, max_reweight_iters=1))
     assert bp.method == "bpdn" and rw.method == "reweighted_cs"
     np.testing.assert_array_equal(bp.values, rw.values)
     assert bp.residual == rw.residual
@@ -893,8 +913,7 @@ def test_reweighted_passes_approach_the_bound_without_dense_detours(monkeypatch)
     # penalties stop being a multiple of the previous ones.
     d, snap = table1_scene(20, 3)
     eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
-    cfg = SolverConfig(residual_bound=eps, inner_tol=1e-4, inner_max_iters=600,
-                       max_reweight_iters=6)
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
     engine = raysep.solvers._cd_lasso
     solves = []
 
@@ -905,7 +924,7 @@ def test_reweighted_passes_approach_the_bound_without_dense_detours(monkeypatch)
         return res
 
     monkeypatch.setattr(raysep.solvers, "_cd_lasso", recording)
-    spec = reweighted_cs(d, snap, cfg)
+    spec = reweighted_cs(d, snap, eps, cfg)
 
     passes = []
     for lam_rows, residual, _ in solves:
@@ -1164,15 +1183,15 @@ def test_path_memo_lives_as_long_as_its_lifted_matrix():
     other = lifted._with_vector(2.0 * lifted.vector)
     assert other.matrix is lifted.matrix and other.grid is lifted.grid
     assert path_memo(lifted) is None
-    subspace_cs(other, SolverConfig(residual_bound=2.0 * delta))
+    subspace_cs(other, 2.0 * delta)
     memo = path_memo(lifted)
     assert memo is not None and memo._sets
-    got = subspace_cs(lifted, SolverConfig(residual_bound=delta))
+    got = subspace_cs(lifted, delta)
     assert path_memo(lifted) is memo and path_memo(other) is memo
     # a system built by the constructor, even from the same arrays, never shares it
     fresh = LiftedSystem(lifted.vector, lifted.matrix, lifted.grid)
     assert fresh.matrix is not lifted.matrix
-    want = subspace_cs(fresh, SolverConfig(residual_bound=delta))
+    want = subspace_cs(fresh, delta)
     assert path_memo(fresh) is not memo
     assert_array_equal(got.values, want.values)
     assert got.diagnostics() == want.diagnostics()
@@ -1187,14 +1206,13 @@ def test_path_memo_lives_as_long_as_its_lifted_matrix():
 
 def test_systems_first_solved_on_threads_share_one_path_memo():
     lifted, delta = table1_lifted_system(0.0, seed=5)
-    cfg = SolverConfig(residual_bound=delta)
-    want = subspace_cs(LiftedSystem(lifted.vector, lifted.matrix, lifted.grid), cfg)
+    want = subspace_cs(LiftedSystem(lifted.vector, lifted.matrix, lifted.grid), delta)
     systems = [lifted._with_vector(lifted.vector) for _ in range(16)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(subspace_cs, s, cfg) for s in systems]
+            futures = [pool.submit(subspace_cs, s, delta) for s in systems]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(switch)
@@ -1207,7 +1225,7 @@ def test_systems_first_solved_on_threads_share_one_path_memo():
 def test_path_memo_never_serves_another_lifted_matrix():
     S = raysep.solvers
     lifted, delta = table1_lifted_system(0.0, seed=5)
-    subspace_cs(lifted, SolverConfig(residual_bound=delta))
+    subspace_cs(lifted, delta)
     first = path_memo(lifted)
     assert first._sets
     geom = ArrayGeometry(num_sensors=11, spacing_m=2.5, sound_speed_mps=1500.0)
@@ -1216,7 +1234,7 @@ def test_path_memo_never_serves_another_lifted_matrix():
         b = lifted.vector
         system = LiftedSystem(b, lift_dictionary(build_dictionary(grid, focus, geom)), grid)
         assert system.matrix.shape == lifted.matrix.shape
-        subspace_cs(system, SolverConfig(residual_bound=delta))
+        subspace_cs(system, delta)
         assert path_memo(system) is not first
         want = walk(reference_nonneg_path, system.matrix, b, delta)
         assert_same_walk(walk(S._nonneg_path, system.matrix, b, delta, path_memo(system)), want)
@@ -1230,16 +1248,16 @@ def test_caller_lifted_matrix_changed_after_a_solve_gets_the_new_answer():
     source = lift_dictionary(build_dictionary(grid, 1500.0, geom))
     before = LiftedSystem(b, source, grid)
     assert before.matrix is not source and source.flags.writeable
-    first = subspace_cs(before, SolverConfig(residual_bound=delta))
+    first = subspace_cs(before, delta)
     source[:] = lift_dictionary(build_dictionary(grid, 1400.0, geom))
     after = LiftedSystem(b, source, grid)
-    second = subspace_cs(after, SolverConfig(residual_bound=delta))
+    second = subspace_cs(after, delta)
     got = walk(S._nonneg_path, after.matrix, b, delta, path_memo(after))
     assert_same_walk(got, walk(reference_nonneg_path, source, b, delta))
     assert_array_equal(second.values, got[0].x)
     assert not np.array_equal(second.values, first.values)
     # the first system kept its own copy of the caller's array, and its memo
-    again = subspace_cs(before, SolverConfig(residual_bound=delta))
+    again = subspace_cs(before, delta)
     assert_array_equal(again.values, first.values)
 
 
@@ -1249,10 +1267,10 @@ def test_caller_vector_changed_after_building_never_reaches_the_system():
     cfg = SolverConfig(inner_tol=1e-8, inner_max_iters=4000)
     vector = matrix[:, [5, 12]] @ np.array([1.0, 2.0])
     system = LiftedSystem(vector, matrix, grid)
-    first = subspace_cs(system, cfg)
+    first = subspace_cs(system, 0.0, cfg)
     assert np.flatnonzero(first.values > 1e-5 * first.values.max()).tolist() == [5, 12]
     vector[:] = matrix[:, 3]
-    again = subspace_cs(system, cfg)
+    again = subspace_cs(system, 0.0, cfg)
     assert_array_equal(again.values, first.values)
     assert again.diagnostics() == first.diagnostics()
 
@@ -1261,11 +1279,10 @@ def test_caller_vector_changed_after_building_never_reaches_the_system():
 def test_solved_lifted_system_pickles_and_copies_to_the_same_spectrum(duplicate):
     lifted, delta = table1_lifted_system(5.0, seed=5)
     system = lifted._with_vector(lifted.vector)
-    cfg = SolverConfig(residual_bound=delta)
     with pytest.raises(SolverInfeasibleError) as exc:
-        subspace_cs(system, cfg)
-    cfg = SolverConfig(residual_bound=1.1 * exc.value.min_residual)
-    want = subspace_cs(system, cfg)
+        subspace_cs(system, delta)
+    bound = 1.1 * exc.value.min_residual
+    want = subspace_cs(system, bound)
     assert path_memo(system) is not None
     twin = {
         "pickle": lambda s: pickle.loads(pickle.dumps(s)),
@@ -1278,7 +1295,7 @@ def test_solved_lifted_system_pickles_and_copies_to_the_same_spectrum(duplicate)
     assert_array_equal(twin.matrix, system.matrix)
     assert_array_equal(twin.grid.angles_deg, system.grid.angles_deg)
     assert not twin.vector.flags.writeable and not twin.matrix.flags.writeable
-    got = subspace_cs(twin, cfg)
+    got = subspace_cs(twin, bound)
     assert_array_equal(got.values, want.values)
     assert got.diagnostics() == want.diagnostics()
     assert path_memo(twin) is not path_memo(system)
@@ -1287,7 +1304,7 @@ def test_solved_lifted_system_pickles_and_copies_to_the_same_spectrum(duplicate)
 def solve_or_refusal(lifted: LiftedSystem, bound: float, retry: bool = False):
     """The spectrum of ``subspace_cs`` at ``bound``, or the refusal's min_residual."""
     try:
-        return subspace_cs(lifted, SolverConfig(residual_bound=bound), retry=retry)
+        return subspace_cs(lifted, bound, retry=retry)
     except SolverInfeasibleError as exc:
         return exc.min_residual
 

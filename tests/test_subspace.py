@@ -179,7 +179,7 @@ def test_lifted_system_arrays_lie_on_buffers_that_stay_immutable():
             assert isinstance(base, bytes)
     # solves on the immutable buffers match solves on ordinary numpy arrays
     bound = 0.05 * float(np.linalg.norm(vector))
-    spec = S.subspace_cs(lifted, S.SolverConfig(residual_bound=bound))
+    spec = S.subspace_cs(lifted, bound)
     plain_matrix = np.array(lifted.matrix)
     plain_vector = np.array(lifted.vector)
     assert plain_matrix.flags.writeable and plain_matrix.base is None
