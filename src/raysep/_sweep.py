@@ -3,9 +3,14 @@
 A pass (``_cd_sweep``) visits a working set's rows once in every snapshot
 column. Each column is its own lasso, so it moves each column's live
 entries only, the next live entry of every column in one step, and shows
-that the zero entries stay zero; small or dense working sets are swept row
-by row (``_cd_rows``). Either way every column's updates are those of the
-plain column-by-column loop that the tests hold it to, bit for bit.
+that the zero entries stay zero: the column form (``_cd_steps``), whose
+updates are those of the plain column-by-column loop, bit for bit. Small or
+dense working sets are swept row by row (``_cd_rows``): over many snapshot
+columns each row takes two real BLAS products, one for its correlations
+with every column and one for their residual change, so its updates are
+those of a plain row-by-row loop over the same products, bit for bit, and
+agree with the column form to rounding. Over one snapshot the row form
+makes the column form's dots on numpy scalars.
 """
 
 from __future__ import annotations
@@ -18,23 +23,37 @@ _TINY = np.finfo(float).tiny
 class _WorkingSet:
     """The atoms of one working set and their thresholds, as the sweep reads them.
 
-    The correlation of atom q with a residual row r is
-    ``np.vecdot(a_t[q], r)`` on contiguous rows, one BLAS dot per entry: a
-    step that gathers many entries makes the same dots, so a column's result
-    does not depend on the other columns. Where only a bound on many
-    correlations is needed, ``r.view(float) @ split`` gives their real and
-    imaginary parts side by side, as one real product.
+    The correlation of atom a with a complex residual row r is aᴴ r, whose
+    real and imaginary parts are the real products of r's real view with
+    the columns (Re a, Im a) and (−Im a, Re a), each interleaved by sensor.
+    ``split`` holds these two columns side by side for every atom, atom q at
+    columns 2q and 2q + 1, and ``rot[q]`` is their transpose, which maps the
+    real view of a complex move d to that of the residual change d a.
+
+    A row-by-row pass (``_cd_rows``) updates one atom in every snapshot
+    column with two real BLAS products: the columns' correlations,
+    ``np.dot(r.view(float), split[:, 2q:2q + 2])``, and their residual
+    change, ``np.dot(delta.view(float).reshape(-1, 2), rot[q])``. On such
+    small operands ``np.dot`` gives the bits of ``@`` with less call
+    overhead. BLAS may block such a product differently by its number of
+    rows, so a column's last bits may depend on the other columns of the
+    pass. A column pass
+    (``_cd_steps``) instead takes ``np.vecdot(a_t[q], r)`` on contiguous
+    rows, one BLAS dot per entry, so a column's bits do not depend on the
+    other columns. Where only a bound on many correlations is needed,
+    ``r.view(float) @ split`` gives all of them as one real product.
     """
 
-    __slots__ = ("a_t", "split", "norms_sq", "norms", "lam")
+    __slots__ = ("a_t", "split", "rot", "norms_sq", "norms", "lam")
 
     def __init__(self, a: np.ndarray, col_norms_sq: np.ndarray, lam: np.ndarray):
         m, n = a.shape
         self.a_t = a.T.copy()
-        split = np.empty((2 * m, 2 * n))
-        split[0::2, :n], split[1::2, :n] = a.real, a.imag
-        split[0::2, n:], split[1::2, n:] = -a.imag, a.real
-        self.split = split
+        split = np.empty((2 * m, n, 2))
+        split[0::2, :, 0], split[1::2, :, 0] = a.real, a.imag
+        split[0::2, :, 1], split[1::2, :, 1] = -a.imag, a.real
+        self.split = split.reshape(2 * m, 2 * n)
+        self.rot = split.transpose(1, 2, 0).copy()
         self.norms_sq = col_norms_sq
         self.norms = np.sqrt(col_norms_sq)
         self.lam = lam
@@ -94,14 +113,18 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
 def _cd_rows(ws: _WorkingSet, r, x, zero_rows) -> float:
     """The pass of ``_cd_sweep`` one row at a time, for small working sets.
 
-    Each step updates one row in every column, as ``_cd_steps`` does with
-    one row broadcast. ``zero_rows`` flags the rows that are zero at the
-    start. With one snapshot the values are numpy scalars, whose sums,
-    real scalings and moduli come out as on arrays; the quotient by the
-    squared norm is taken as numpy takes it on arrays, a product with its
-    reciprocal.
+    Each step updates one row in every column. ``zero_rows`` flags the
+    rows that are zero at the start; such a row whose correlations are all
+    within its threshold is skipped. Over many snapshots a step takes the
+    row's correlations from one real product, soft-thresholds every column
+    as ``_cd_steps`` does, and subtracts the moves from the residual with a
+    second real product (see ``_WorkingSet``); the moves are read from x at
+    the end. With one snapshot the step is ``_cd_steps``' arithmetic on
+    numpy scalars, whose sums, real scalings and moduli come out as on
+    arrays; the quotient by the squared norm is taken as numpy takes it on
+    arrays, a product with its reciprocal.
     """
-    absolute, maximum, vecdot, tiny = np.abs, np.maximum, np.vecdot, _TINY
+    absolute, maximum, vecdot, dot, tiny = np.abs, np.maximum, np.vecdot, np.dot, _TINY
     lams, norms_sq = ws.lam.tolist(), ws.norms_sq.tolist()
     if x.shape[1] == 1:
         # one snapshot: the same arithmetic on numpy scalars
@@ -119,26 +142,30 @@ def _cd_rows(ws: _WorkingSet, r, x, zero_rows) -> float:
             vals[q] = u
             largest = max(largest, float(absolute(delta)) * norm_q / max(lam_q, tiny))
         return largest
-    moves = np.zeros(x.shape)
-    for at, x_q, lam_q, norm_q, zero, move in zip(ws.a_t, x, lams, norms_sq, zero_rows, moves):
-        u = vecdot(at, r)
-        uv = u.view(float)
+    # the real views of the residual rows and coefficients; a complex
+    # difference or real scaling on them is the same on the real view
+    x_start, rv, xv = x.copy(), r.view(float), x.view(float)
+    pairs = ws.split.reshape(rv.shape[1], -1, 2).transpose(1, 0, 2)
+    for pair, rot, xv_q, lam_q, norm_q, zero in zip(pairs, ws.rot, xv, lams, norms_sq, zero_rows):
+        uv = dot(rv, pair).reshape(-1)
+        u = uv.view(complex)
         if zero:
             mag = absolute(u)
             if mag.max() <= lam_q:
                 continue
         else:
-            uv += x_q.view(float) * norm_q
+            uv += xv_q * norm_q
             mag = absolute(u)
-        shrink = mag - lam_q
+        den = maximum(mag, tiny)
+        shrink = mag  # in place: max(|u| - lam, 0) / max(|u|, tiny)
+        shrink -= lam_q
         maximum(shrink, 0.0, out=shrink)
-        shrink /= maximum(mag, tiny)
+        shrink /= den
         u *= shrink
         uv *= 1.0 / norm_q
-        delta = u - x_q
-        r -= at * delta[:, None]
-        x_q[:] = u
-        absolute(delta, out=move)
+        rv -= dot((uv - xv_q).reshape(-1, 2), rot)
+        xv_q[:] = uv
+    moves = absolute(x - x_start)
     moves *= ws.norms_sq[:, None]
     moves /= np.maximum(ws.lam, _TINY)[:, None]
     return float(moves.max(initial=0.0))
@@ -172,7 +199,8 @@ def _cd_sweep(ws: _WorkingSet, r, x) -> float:
     On a working set of fewer than ``2 k + _ROW_SWEEP_MARGIN`` rows, with
     k the largest per-column count of live entries (or of live entries and
     those over their threshold), the pass goes row by row (``_cd_rows``),
-    as many steps as rows; its updates are the same.
+    as many steps as rows; its updates are the same up to rounding, in
+    the last bits of the products it takes.
     """
     (n, num_l), lam, norms_sq, norms = x.shape, ws.lam, ws.norms_sq, ws.norms
     live = _nonzero(x)
@@ -180,7 +208,7 @@ def _cd_sweep(ws: _WorkingSet, r, x) -> float:
         return _cd_rows(ws, r, x, (~live.any(axis=1)).tolist())
     parts = r.view(float) @ ws.split  # real and imaginary parts of the start correlations
     np.square(parts, out=parts)
-    corr0 = parts[:, :n] + parts[:, n:]
+    corr0 = parts[:, 0::2] + parts[:, 1::2]
     np.sqrt(corr0, out=corr0)  # (L, n), as are the candidate masks
     cand = corr0 > lam
     cand |= live.T

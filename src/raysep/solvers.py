@@ -26,12 +26,17 @@ made from it by ``_with_vector``. The walk itself is one loop in
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
 the working set (adopted when it lowers the objective) and a full
-stationarity sweep. Each snapshot column is its own lasso, so a
-coordinate pass (``_cd_sweep``) moves each column's live entries only,
-the next live entry of every column in one step, and shows the zero
-entries stay zero by a bound on the column's movement, with an exact
-check of the few the bound leaves; its updates are those of a plain
-column-by-column loop. The polish runs only on working sets with no more rows
+stationarity sweep; the objective is evaluated once per round, after its
+sweeps, and once per polish candidate. A solve from zero admits its first
+working set from the stationarity sweep, without sweeping an empty one.
+Each snapshot column is its own lasso, so a coordinate pass
+(``_cd_sweep``) moves each column's live entries only, the next live
+entry of every column in one step, and shows the zero entries stay zero
+by a bound on the column's movement, with an exact check of the few the
+bound leaves; its updates are those of a plain column-by-column loop. A
+small or dense working set is swept row by row instead, each row in every
+column with two real BLAS products, whose updates agree with the column
+loop to rounding. The polish runs only on working sets with no more rows
 than the array has sensors: above that, a column's support Gram can be
 singular, so the dense solve has no unique support solution. Penalty
 continuation (``_continue_penalty``), with warm-started steps of at most
@@ -148,8 +153,10 @@ class SparseSpectrum:
     residual_bound: float
     objective: float
     converged: bool
-    # Objective trajectory of the final inner run (for subspace_cs, of the
-    # path's breakpoints, each at its own level); non-increasing.
+    # Objective trajectory of the final inner run: its start, then one entry
+    # per working-set round (after the round's sweeps) and one per adopted
+    # polish; for subspace_cs, the path's breakpoints, each at its own
+    # level. Non-increasing.
     objective_history: np.ndarray = field(repr=False, default=None)
     # Number of inner (penalized) solves behind the spectrum, and the
     # largest support any of them returned, in grid angles that are nonzero
@@ -358,16 +365,16 @@ def _cd_lasso(
     active = set(w.tolist())
     sweeps = 0
     for _ in range(_MAX_WORKING_SET_ROUNDS):
-        # Exact solve on the working set.
+        # Exact solve on the working set; a cold start's first set is empty.
         w = np.array(sorted(active), dtype=np.intp)
-        ws, x_w = _WorkingSet(a[:, w], col_norms_sq[w], lam_rows[w]), x[w]
-        for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
-            sweeps += 1
-            max_step = _cd_sweep(ws, r, x_w)
+        if w.size:
+            ws, x_w = _WorkingSet(a[:, w], col_norms_sq[w], lam_rows[w]), x[w]
+            for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
+                sweeps += 1
+                if _cd_sweep(ws, r, x_w) <= 0.1 * tol or sweeps >= max_sweeps:
+                    break
+            x[w] = x_w
             history.append(objective(r, ws.lam, x_w))
-            if max_step <= 0.1 * tol or sweeps >= max_sweeps:
-                break
-        x[w] = x_w
         # Dense polish on a working set the sensors can resolve; adopt only
         # on objective decrease.
         idx = _support(x)

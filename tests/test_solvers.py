@@ -747,6 +747,46 @@ def reference_cd_sweep(a, r, x, order, lam_rows, col_norms_sq):
     return max_step
 
 
+def reference_row_sweep(a, r, x, order, lam_rows, col_norms_sq):
+    """One cyclic pass of exact coordinate updates, one row over every column at a time.
+
+    Written plainly in the arithmetic of raysep's row-by-row pass over many
+    snapshots: each visit takes the row's correlations with every column
+    from one real product of the residual's real view with the atom's
+    columns (Re a, Im a) and (-Im a, Re a), interleaved by sensor; then
+    soft-thresholds each column's entry on its own as in
+    ``reference_cd_sweep``, skipping a zero entry whose correlation is
+    within its threshold; then subtracts every column's move from the
+    residual with one real product of the moves' real view with the
+    transpose of those two columns.
+    """
+    tiny = np.finfo(float).tiny
+    num_sensors, num_cols = a.shape[0], x.shape[1]
+    res = r.T.copy()  # one row per snapshot column
+    rv = res.view(float)
+    max_step = 0.0
+    for q in order:
+        aq = a[:, q]
+        pair = np.empty((2 * num_sensors, 2))
+        pair[0::2, 0], pair[1::2, 0] = aq.real, aq.imag
+        pair[0::2, 1], pair[1::2, 1] = -aq.imag, aq.real
+        corr = (rv @ pair).view(complex)[:, 0]
+        delta = np.zeros(num_cols, dtype=complex)
+        for col in range(num_cols):
+            xq = x[q, col:col + 1]
+            u = corr[col:col + 1] + col_norms_sq[q] * xq
+            if xq[0] == 0 and np.abs(u)[0] <= lam_rows[q]:
+                continue
+            new = reference_soft_threshold(u, lam_rows[q]) / col_norms_sq[q]
+            delta[col] = (new - xq)[0]
+            x[q, col] = new[0]
+            step = float(np.abs(delta[col]))
+            max_step = max(max_step, step * col_norms_sq[q] / max(lam_rows[q], tiny))
+        rv -= delta.view(float).reshape(-1, 2) @ pair.T.copy()
+    r[:] = res.T
+    return max_step
+
+
 @pytest.fixture
 def sweep_forms(monkeypatch):
     """Counts the passes that ran row by row and those that ran column by column."""
@@ -766,23 +806,35 @@ def sweep_forms(monkeypatch):
     return seen
 
 
+def checked_sweep(a, r, x, order, lam_rows, norms, sweep_forms):
+    """``lean_sweep``, held bit for bit to the oracle of the form the pass took.
+
+    A row-by-row pass over many snapshot columns is held to
+    ``reference_row_sweep``; a column pass, and a row-by-row pass over one
+    snapshot (the same dots on scalars), to ``reference_cd_sweep``.
+    """
+    x_ref, r_ref = x.copy(), r.copy()
+    rows = sweep_forms["rows"]
+    step = lean_sweep(a, r, x, order, lam_rows, norms)
+    by_rows = sweep_forms["rows"] > rows and x.shape[1] > 1
+    oracle = reference_row_sweep if by_rows else reference_cd_sweep
+    assert step == oracle(a, r_ref, x_ref, order, lam_rows, norms)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(r, r_ref)
+    return step
+
+
 @pytest.mark.parametrize("num_snapshots, noise_seed", [(20, 3), (1, 5)])
 def test_cd_sweep_matches_the_plain_loop_bit_for_bit(num_snapshots, noise_seed, sweep_forms):
     # From the dense state, over all rows and over every third row: at its
     # own thresholds the columns are too dense to sweep but row by row; at
     # six times them they thin out, and the sweep goes by column.
-    a, _, lam_rows, norms, x0, r0 = dense_lasso_state(num_snapshots, noise_seed)
-    assert np.count_nonzero(np.any(x0 != 0, axis=1)) > 11
-    x_lean, r_lean = x0.copy(), r0.copy()
-    x_ref, r_ref = x0.copy(), r0.copy()
+    a, _, lam_rows, norms, x, r = dense_lasso_state(num_snapshots, noise_seed)
+    assert np.count_nonzero(np.any(x != 0, axis=1)) > 11
     for scale in (1.0, 6.0):
         for order in (list(range(a.shape[1])), list(range(0, a.shape[1], 3))):
             for _ in range(3):
-                step_lean = lean_sweep(a, r_lean, x_lean, order, scale * lam_rows, norms)
-                step_ref = reference_cd_sweep(a, r_ref, x_ref, order, scale * lam_rows, norms)
-                np.testing.assert_array_equal(x_lean, x_ref)
-                np.testing.assert_array_equal(r_lean, r_ref)
-                assert step_lean == step_ref
+                checked_sweep(a, r, x, order, scale * lam_rows, norms, sweep_forms)
     assert sweep_forms["rows"] > 0 and sweep_forms["columns"] > 0
 
 
@@ -803,7 +855,7 @@ def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
     r0 = b.copy()
     start = sorted(np.argsort(-corr)[:5].tolist())
     for _ in range(3):
-        lean_sweep(a, r0, x0, start, np.full(a.shape[1], 0.3 * lam_max), norms)
+        checked_sweep(a, r0, x0, start, np.full(a.shape[1], 0.3 * lam_max), norms, sweep_forms)
     zero0 = ~np.any(x0 != 0, axis=1)
     assert 0 < np.count_nonzero(~zero0) <= 5
     order = list(range(a.shape[1]))
@@ -811,15 +863,10 @@ def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
     entered = stayed = 0
     for scale in (0.5, 0.2, 0.05):
         lam_rows = scale * lam_max * weights
-        x_lean, r_lean = x0.copy(), r0.copy()
-        x_ref, r_ref = x0.copy(), r0.copy()
+        x, r = x0.copy(), r0.copy()
         for _ in range(3):
-            step_lean = lean_sweep(a, r_lean, x_lean, order, lam_rows, norms)
-            step_ref = reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
-            np.testing.assert_array_equal(x_lean, x_ref)
-            np.testing.assert_array_equal(r_lean, r_ref)
-            assert step_lean == step_ref
-        nonzero = np.any(x_lean != 0, axis=1)
+            checked_sweep(a, r, x, order, lam_rows, norms, sweep_forms)
+        nonzero = np.any(x != 0, axis=1)
         entered += np.count_nonzero(zero0 & nonzero)
         stayed += np.count_nonzero(zero0 & ~nonzero)
     assert entered > 0 and stayed > 0
@@ -845,15 +892,34 @@ def test_cd_sweep_lets_in_an_entry_that_crosses_its_threshold_mid_sweep(sweep_fo
     for _ in range(4):
         zero = x == 0
         within = np.abs(a.conj().T @ r) <= 0.999 * lam_rows[:, None]
-        x_ref, r_ref = x.copy(), r.copy()
         runs = sweep_forms["columns"]
-        step = lean_sweep(a, r, x, order, lam_rows, norms)
-        assert step == reference_cd_sweep(a, r_ref, x_ref, order, lam_rows, norms)
-        np.testing.assert_array_equal(x, x_ref)
-        np.testing.assert_array_equal(r, r_ref)
+        checked_sweep(a, r, x, order, lam_rows, norms, sweep_forms)
         if sweep_forms["columns"] - runs > 1:
             crossed += np.count_nonzero(zero & within & (x != 0))
     assert crossed > 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 6.0])
+def test_row_and_column_passes_agree_to_rounding(scale, monkeypatch):
+    # The two forms of a pass make the same updates with different
+    # products, so from the same dense state three passes of each agree
+    # to within 1e-12 of the largest coefficient and leave the same
+    # entries nonzero. At the state's own thresholds most columns are
+    # denser than the sensors; at six times them they thin out.
+    a, _, lam_rows, norms, x0, r0 = dense_lasso_state()
+    order = list(range(a.shape[1]))
+    passes = {}
+    for form, margin in (("rows", a.shape[1] + 1), ("columns", -2 * a.shape[1] - 1)):
+        monkeypatch.setattr(raysep._sweep, "_ROW_SWEEP_MARGIN", margin)
+        x, r = x0.copy(), r0.copy()
+        for _ in range(3):
+            lean_sweep(a, r, x, order, scale * lam_rows, norms)
+        passes[form] = x, r
+    (x_rows, r_rows), (x_cols, r_cols) = passes["rows"], passes["columns"]
+    tol = 1e-12
+    np.testing.assert_array_equal(x_rows != 0, x_cols != 0)
+    np.testing.assert_allclose(x_rows, x_cols, rtol=0, atol=tol * np.abs(x_cols).max())
+    np.testing.assert_allclose(r_rows, r_cols, rtol=0, atol=tol * np.abs(r0).max())
 
 
 def test_cd_sweeps_take_at_most_half_a_step_per_working_set_row(monkeypatch):
@@ -885,6 +951,78 @@ def test_cd_sweeps_take_at_most_half_a_step_per_working_set_row(monkeypatch):
     reweighted_cs(d, snap, eps, cfg)
     assert count["rows"] > 0
     assert count["steps"] <= 0.5 * count["rows"]
+
+
+def record_cd_lasso_solves(monkeypatch):
+    """Per ``_cd_lasso`` call: its start, what it ran and what it returned.
+
+    Each record counts the objective's penalty evaluations, the working
+    sets built (one per round that sweeps), the sweeps with the rows of
+    each, and the polishes.
+    """
+    solvers = raysep.solvers
+    engine, penalty, polish = solvers._cd_lasso, solvers._penalty, solvers._polish_complex
+    working_set, sweep = solvers._WorkingSet, solvers._cd_sweep
+    solves = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            solves[-1][key] += 1
+            return fn(*args)
+        return wrapper
+
+    def recording(a, b, lam_rows, x0, *rest):
+        solves.append({"cold": not np.any(x0), "penalty": 0, "rounds": 0, "polishes": 0,
+                       "sweep_rows": []})
+        solves[-1]["result"] = engine(a, b, lam_rows, x0, *rest)
+        return solves[-1]["result"]
+
+    def recorded_sweep(ws, r, x):
+        solves[-1]["sweep_rows"].append(x.shape[0])
+        return sweep(ws, r, x)
+
+    monkeypatch.setattr(solvers, "_cd_lasso", recording)
+    monkeypatch.setattr(solvers, "_penalty", counted("penalty", penalty))
+    monkeypatch.setattr(solvers, "_polish_complex", counted("polishes", polish))
+    monkeypatch.setattr(solvers, "_WorkingSet", counted("rounds", working_set))
+    monkeypatch.setattr(solvers, "_cd_sweep", recorded_sweep)
+    return solves
+
+
+@pytest.mark.parametrize("num_snapshots, noise_seed", [(20, 3), (1, 5)])
+def test_cd_lasso_takes_one_objective_per_round_and_per_polish(
+    num_snapshots, noise_seed, monkeypatch
+):
+    # The Table-1 scene with the bench's settings and noise-norm bound: each
+    # inner solve evaluates its objective once at the start, once after each
+    # round's sweeps and once per polish candidate, and the history it keeps
+    # (the start, each round, each adopted polish) does not increase.
+    d, snap = table1_scene(num_snapshots, noise_seed)
+    eps = 1.1 * np.sqrt(snap.noise_power * 11 * num_snapshots)
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
+    solves = record_cd_lasso_solves(monkeypatch)
+    reweighted_cs(d, snap, eps, cfg)
+    assert solves and sum(s["polishes"] for s in solves) > 0
+    for s in solves:
+        history = np.asarray(s["result"].objective_history)
+        assert s["penalty"] == 1 + s["rounds"] + s["polishes"]
+        assert s["rounds"] + 1 <= history.size <= 1 + s["rounds"] + s["polishes"]
+        assert np.all(np.diff(history) <= 0)
+
+
+def test_cd_lasso_makes_no_sweep_of_an_empty_working_set(monkeypatch):
+    # A solve from zero admits its first working set from the stationarity
+    # pass instead of sweeping an empty one, so every sweep has rows, and
+    # the reported iterations are its sweeps plus its polishes.
+    d, snap = table1_scene(20, 3)
+    eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
+    cfg = SolverConfig(inner_tol=1e-4, inner_max_iters=600, max_reweight_iters=6)
+    solves = record_cd_lasso_solves(monkeypatch)
+    reweighted_cs(d, snap, eps, cfg)
+    assert any(s["cold"] for s in solves)
+    for s in solves:
+        assert min(s["sweep_rows"]) > 0
+        assert s["result"].iterations == len(s["sweep_rows"]) + s["polishes"]
 
 
 def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
