@@ -292,7 +292,7 @@ def _build_solver(cfg, path: str = "solver") -> SolverConfig:
     try:
         return SolverConfig(**_present(cfg, path, _SOLVER_READERS))
     except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ConfigError(f"{path}.{e}") from e
 
 
 def _build_algorithms(cfg: dict, path: str) -> tuple:

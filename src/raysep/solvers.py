@@ -25,7 +25,7 @@ made from it by ``_with_vector``. The walk itself is one loop in
 
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
-the working set (adopted when it lowers the objective) and a full
+a one-snapshot support (adopted when it lowers the objective) and a full
 stationarity sweep; the objective is evaluated once per round, after its
 sweeps, and once per polish candidate. A solve from zero admits its first
 working set from the stationarity sweep, without sweeping an empty one.
@@ -36,9 +36,10 @@ by a bound on the column's movement, with an exact check of the few the
 bound leaves; its updates are those of a plain column-by-column loop. A
 small or dense working set is swept row by row instead, each row in every
 column with two real BLAS products, whose updates agree with the column
-loop to rounding. The polish runs only on working sets with no more rows
-than the array has sensors: above that, a column's support Gram can be
-singular, so the dense solve has no unique support solution. Penalty
+loop to rounding. The polish runs only on one snapshot, with no more
+nonzero rows than the array has sensors: above that, the support Gram can
+be singular, so the dense solve has no unique support solution, and over
+many snapshots the polish changed no seeded report. Penalty
 continuation (``_continue_penalty``), with warm-started steps of at most
 2x and a safeguarded secant on log residual against log level, puts the
 residual just under the requested bound, so the returned point is a
@@ -52,6 +53,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -130,10 +132,15 @@ class SolverConfig:
     inner_max_iters: int = 600
 
     def __post_init__(self):
-        if self.reweight_xi is not None and self.reweight_xi <= 0:
-            raise ValueError("reweight_xi must be positive")
-        if self.inner_tol <= 0 or self.inner_max_iters < 1 or self.max_reweight_iters < 1:
-            raise ValueError("tolerances and iteration caps must be positive")
+        reals = ("inner_tol",) if self.reweight_xi is None else ("reweight_xi", "inner_tol")
+        for name in reals:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("max_reweight_iters", "inner_max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +151,10 @@ class SparseSpectrum:
     values: np.ndarray
     method: str
     # Work over every inner solve: for the complex solvers, coordinate sweeps
-    # plus the polishes that ran (only working sets of at most M rows are
-    # polished); for subspace_cs, the k x k passive-set systems its walk
-    # visits, each counted whether its solve came from the path memo or was
-    # computed; a retried walk counts all of them, to the path's end.
+    # plus the polishes that ran (only one-snapshot supports of at most M
+    # rows are polished); for subspace_cs, the k x k passive-set systems its
+    # walk visits, each counted whether its solve came from the path memo or
+    # was computed; a retried walk counts all of them, to the path's end.
     iterations: int
     residual: float
     residual_bound: float
@@ -199,116 +206,67 @@ def _solve_psd(h: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(h, c, rcond=None)[0]
 
 
-def _solve_stack(h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve h[g] z[g] = c[g] for a stack of square systems.
-
-    One stacked LAPACK call; a singular member makes numpy reject the whole
-    stack, and then each system falls back to ``_solve_psd`` on its own.
-    """
-    try:
-        return np.linalg.solve(h, c[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.stack([_solve_psd(hg, cg) for hg, cg in zip(h, c)])
-
-
 _POLISH_PASSES = 6
 
 
 def _polish_complex(
     a_sub: np.ndarray, b: np.ndarray, lam_sub: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """Active-set solve of the support-restricted problem, all snapshots at once.
+    """Active-set solve of the support-restricted problem on one snapshot.
 
-    Every snapshot column runs its own active-set iteration: a dense solve
-    of a_subᴴ a_sub z = a_subᴴ b - lam * phase(x) on the column's live
+    A dense solve of a_subᴴ a_sub z = a_subᴴ b - lam * phase(x) on the live
     entries (phases re-linearized each pass), single-entry prunes of
     coefficients pushed through zero, and re-admission of the dropped entry
     whose stationarity is violated worst; at most ``_POLISH_PASSES`` passes,
     stopping early once the phases stop moving. Near-parallel active
     columns are resolved by the dense solve, which coordinate updates cannot
-    do in reasonable time.
-
-    The columns advance in lockstep so the linear algebra is shared: each
-    step stacks the running columns by live support size k and, per size,
-    forms their k x k systems with one stacked product and solves them with
-    one stacked call; the re-admission correlations of every column that
-    finished a pass come from one more product, and their phases from one
-    vectorized ``np.abs``. Every size, one included, takes these same stacked
-    forms, and each member of a stack is its own product, so a column's
-    result does not depend on which other columns are polished with it.
-    Columns with fewer than two live entries are returned unchanged (a lone
-    coordinate is already solved exactly by its update).
+    do in reasonable time. Fewer than two live entries are returned
+    unchanged (a lone coordinate is already solved exactly by its update).
 
     Args:
         a_sub: Working-set dictionary columns, shape (M, n).
-        b: Snapshots, shape (M, L).
+        b: Snapshot, shape (M,).
         lam_sub: Per-entry penalties, shape (n,).
-        x: Current coefficients, shape (n, L).
+        x: Current coefficients, shape (n,).
 
     Returns:
-        Polished coefficients, shape (n, L).
+        Polished coefficients, shape (n,).
     """
-    a_h = a_sub.conj().T
-    out = x.T.copy()  # row l is snapshot column l
-    mag = np.abs(out)
+    mag = np.abs(x)
     alive = mag > 0
-    phases = np.zeros_like(out)
-    phases[alive] = out[alive] / mag[alive]
-    live = np.count_nonzero(alive, axis=1)
-    passes = np.zeros(live.size, dtype=int)
+    if np.count_nonzero(alive) < 2:
+        return x.copy()
+    phases = np.zeros_like(x)
+    phases[alive] = x[alive] / mag[alive]
     readmit_tol = 1e-7 * max(float(np.max(lam_sub)), _TINY)
-    running = np.flatnonzero(live >= 2)
-    while running.size:
-        sizes = live[running]
-        keep, finished, residuals, moved = [], [], [], []
-        for k in sorted(set(sizes.tolist())):
-            cols = running[sizes == k]
-            idx = np.nonzero(alive[cols])[1].reshape(cols.size, k)
-            ph = phases[cols[:, None], idx]
-            asub = a_sub[:, idx].transpose(1, 0, 2)  # asub[g] == a_sub[:, idx[g]]
-            asub_h = asub.conj().transpose(0, 2, 1)
-            b_cols = b[:, cols].T
-            proj = (asub_h @ b_cols[..., None])[..., 0]
-            z = _solve_stack(asub_h @ asub, proj - lam_sub[idx] * ph)
-            crossing = (z.conj() * ph).real
-            bad = (crossing <= 0).any(axis=1)
-            if bad.any():
-                # prune the most negative crossing; an emptied column is zero
-                pruned = cols[bad]
-                alive[pruned, idx[bad, crossing[bad].argmin(axis=1)]] = False
-                live[pruned] -= 1
-                out[pruned[live[pruned] == 0]] = 0
-                keep.append(pruned[live[pruned] > 0])
-                ok = ~bad
-                cols, idx, ph, asub, b_cols, z = (
-                    cols[ok], idx[ok], ph[ok], asub[ok], b_cols[ok], z[ok]
-                )
-            if cols.size:
-                new_ph = z / np.maximum(np.abs(z), _TINY)
-                moved.append(np.abs(new_ph - ph).max(axis=1))
-                phases[cols[:, None], idx] = new_ph
-                out[cols] = 0
-                out[cols[:, None], idx] = z
-                finished.append(cols)
-                residuals.append(b_cols - (asub @ z[..., None])[..., 0])
-        if finished:
-            cols = np.concatenate(finished)
-            # re-admit the dropped entry whose stationarity is violated worst
-            corr = (a_h @ np.concatenate(residuals)[..., None])[..., 0]
-            viol = np.where(alive[cols], -np.inf, np.abs(corr) - lam_sub)
-            worst = viol.argmax(axis=1)
-            rows = np.arange(cols.size)
-            readmit = viol[rows, worst] > readmit_tol
-            back, entry = cols[readmit], worst[readmit]
-            alive[back, entry] = True
-            live[back] += 1
-            c = corr[rows[readmit], entry]
-            phases[back, entry] = c / np.maximum(np.abs(c), _TINY)
-            passes[cols] += 1
-            more = readmit | ~(np.concatenate(moved) < 1e-13)
-            keep.append(cols[more & (passes[cols] < _POLISH_PASSES)])
-        running = np.concatenate(keep) if keep else np.empty(0, dtype=int)
-    return out.T
+    for _ in range(_POLISH_PASSES):
+        while True:
+            idx = np.flatnonzero(alive)
+            if idx.size == 0:
+                return np.zeros_like(x)
+            asub = a_sub[:, idx]
+            asub_h = asub.conj().T
+            z = _solve_psd(asub_h @ asub, asub_h @ b - lam_sub[idx] * phases[idx])
+            crossing = (z.conj() * phases[idx]).real
+            if not np.any(crossing <= 0):
+                break
+            # prune the most negative crossing
+            alive[idx[np.argmin(crossing)]] = False
+        new_phases = z / np.maximum(np.abs(z), _TINY)
+        moved = np.max(np.abs(new_phases - phases[idx]))
+        phases[idx] = new_phases
+        # re-admit the dropped entry whose stationarity is violated worst
+        corr = a_sub.conj().T @ (b - asub @ z)
+        viol = np.where(alive, -np.inf, np.abs(corr) - lam_sub)
+        worst = int(np.argmax(viol))
+        if viol[worst] > readmit_tol:
+            alive[worst] = True
+            phases[worst] = corr[worst] / np.maximum(np.abs(corr[worst]), _TINY)
+        elif moved < 1e-13:
+            break
+    out = np.zeros_like(x)
+    out[idx] = z
+    return out
 
 
 def _violation(a, r, x, lam_rows) -> np.ndarray:
@@ -348,11 +306,13 @@ def _cd_lasso(
     the nonzero rows and ``_violation`` as the stationarity test. x is zero
     off the working set, so the objective's penalty is taken over its rows.
 
-    The polish runs, and counts as a sweep, only when the nonzero rows are
-    no more than the M sensors. A larger support gives rank-deficient
-    column Grams, whose dense solve is not unique; on the Table-1 sweeps
-    every polish of such a support raised the objective and was thrown
-    away, so it is not run.
+    The polish runs, and counts as a sweep, only on one snapshot (L = 1)
+    whose nonzero rows are no more than the M sensors. A larger support
+    gives a rank-deficient Gram, whose dense solve is not unique; on the
+    Table-1 sweeps every polish of such a support raised the objective and
+    was thrown away. Over many snapshots the polish changed no seeded
+    report and took about a tenth of a Table-1 run, so those solves run on
+    coordinate descent alone.
     """
     x = x0.copy()
     r = (b - a @ x).T.copy()  # one row per snapshot column
@@ -375,13 +335,13 @@ def _cd_lasso(
                     break
             x[w] = x_w
             history.append(objective(r, ws.lam, x_w))
-        # Dense polish on a working set the sensors can resolve; adopt only
-        # on objective decrease.
+        # Dense polish of one snapshot on a support the sensors can resolve;
+        # adopt only on objective decrease.
         idx = _support(x)
-        if 0 < idx.size <= a.shape[0]:
+        if b.shape[1] == 1 and 0 < idx.size <= a.shape[0]:
             sweeps += 1
             a_sub = a[:, idx]
-            x_cand = _polish_complex(a_sub, b, lam_rows[idx], x[idx])
+            x_cand = _polish_complex(a_sub, b[:, 0], lam_rows[idx], x[idx, 0])[:, None]
             r_cand = (b - a_sub @ x_cand).T.copy()
             f_cand = objective(r_cand, lam_rows[idx], x_cand)
             if f_cand <= history[-1]:

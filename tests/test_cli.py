@@ -493,16 +493,22 @@ def test_solver_residual_bound_is_an_unknown_key(tmp_path, capsys, command, valu
         ("bench", "epsilon_factor"),
         ("bench", "delta_factor"),
         ("bench", "match_window_deg"),
+        ("estimate", "solver.inner_tol"),
+        ("estimate", "solver.reweight_xi"),
+        ("bench", "solver.inner_tol"),
+        ("bench", "solver.reweight_xi"),
     ],
 )
 def test_negative_or_nan_setting_is_a_config_error(tmp_path, capsys, command, key, value):
     # json writes and reads NaN as a bare literal, so a config can hold one
     algorithms = ["subspace_cs", "bpdn"]
+    block, _, field = key.rpartition(".")
+    setting = {block: {field: value}} if block else {key: value}
     if command == "bench":
-        cfg = bench_config(algorithms=algorithms, **{key: value})
+        cfg = bench_config(algorithms=algorithms, **setting)
         args = ["bench", "--config", write_config(tmp_path / "b.json", cfg)]
     else:
-        args = estimate_args(tmp_path, estimate_config(algorithms=algorithms, **{key: value}))
+        args = estimate_args(tmp_path, estimate_config(algorithms=algorithms, **setting))
     assert main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
