@@ -88,16 +88,26 @@ def _field(fields: dict, key: str, path, line: str) -> str:
 
 
 def read_snapshots_csv(path) -> list:
-    """Parse a snapshots file back into SnapshotMatrix objects."""
+    """Parse a snapshots file back into SnapshotMatrix objects.
+
+    Raises:
+        ValueError: Naming the file, and the line where there is one, for a
+            malformed file: a missing header or field, a data row before the
+            header or the first ``# bin=`` line, a row that is not 2L
+            numbers, a block without rows, or blocks that disagree with the
+            header.
+    """
     num_sensors = num_snapshots = num_bins = None
     noise_power = 0.0
     bins = []
-    frequency = None
+    frequency = block_line = None
     rows: list = []
 
     def flush():
-        nonlocal rows, frequency
+        nonlocal rows
         if frequency is not None:
+            if not rows:
+                raise ValueError(f"{path}:{block_line}: '# bin=' block has no data rows")
             data = np.asarray(rows)
             bins.append(
                 SnapshotMatrix(
@@ -108,7 +118,7 @@ def read_snapshots_csv(path) -> list:
             )
         rows = []
 
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -124,8 +134,21 @@ def read_snapshots_csv(path) -> list:
             if "bin" in fields:
                 flush()
                 frequency = float(_field(fields, "frequency_hz", path, line))
+                block_line = number
             continue
-        rows.append([float(c) for c in line.split(",")])
+        if num_snapshots is None:
+            raise ValueError(f"{path}:{number}: data row before the '# M=... L=... B=...' header")
+        if frequency is None:
+            raise ValueError(f"{path}:{number}: data row before the first '# bin=' line")
+        try:
+            row = [float(c) for c in line.split(",")]
+        except ValueError as e:
+            raise ValueError(f"{path}:{number}: {e}") from e
+        if len(row) != 2 * num_snapshots:
+            raise ValueError(
+                f"{path}:{number}: row has {len(row)} numbers, expected 2L = {2 * num_snapshots}"
+            )
+        rows.append(row)
     flush()
 
     if num_sensors is None:

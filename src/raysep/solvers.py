@@ -30,13 +30,14 @@ stationarity sweep; the objective is evaluated once per round, after its
 sweeps, and once per polish candidate. A solve from zero admits its first
 working set from the stationarity sweep, without sweeping an empty one.
 Each snapshot column is its own lasso, so a coordinate pass
-(``_cd_sweep``) moves each column's live entries only, the next live
-entry of every column in one step, and shows the zero entries stay zero
-by a bound on the column's movement, with an exact check of the few the
-bound leaves; its updates are those of a plain column-by-column loop. A
-small or dense working set is swept row by row instead, each row in every
-column with two real BLAS products, whose updates agree with the column
-loop to rounding. The polish runs only on one snapshot, with no more
+(``_cd_sweep``) moves only each column's start candidates, the entries
+nonzero or over their threshold when the pass starts, the next candidate
+of every column in one step; its updates are those of a plain
+column-by-column loop over the candidates. A zero entry that crosses its
+threshold during the pass waits for the next pass or the stationarity
+sweep. A small or dense working set is swept row by row instead, each row
+in every column with two real BLAS products, letting a zero entry in at
+its visit. The polish runs only on one snapshot, with no more
 nonzero rows than the array has sensors: above that, the support Gram can
 be singular, so the dense solve has no unique support solution, and over
 many snapshots the polish changed no seeded report. Penalty

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,45 @@ def test_estimate_empty_algorithms_rejected(tmp_path):
     code = main(["estimate", "--config", est, "--snapshots",
                  str(data_dir / "snapshots.csv"), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def drop_block_rows(lines):
+    """The rows of block 1 removed; the error is on its '# bin=' line."""
+    at = lines.index(next(line for line in lines if line.startswith("# bin=1 ")))
+    return lines[:at + 1] + lines[at + 9:], at + 1
+
+
+def row_before_first_block(lines):
+    """A data row put before the '# bin=0' line; the error is on that row."""
+    at = lines.index(next(line for line in lines if line.startswith("# bin=0 ")))
+    return lines[:at] + [lines[at + 1]] + lines[at:], at + 1
+
+
+def ragged_row(lines):
+    """The last number of a row of block 2 removed; the error is on that row."""
+    at = lines.index(next(line for line in lines if line.startswith("# bin=2 "))) + 3
+    return lines[:at] + [lines[at].rsplit(",", 1)[0]] + lines[at + 1:], at + 1
+
+
+@pytest.mark.parametrize("corrupt", [drop_block_rows, row_before_first_block, ragged_row])
+def test_estimate_malformed_snapshots_name_the_file_and_line(tmp_path, capsys, corrupt):
+    # A block without rows, rows before the first block and a ragged row
+    # are config errors naming the file and the line, not a traceback, a
+    # numpy message or silently dropped data.
+    sim = write_config(tmp_path / "sim.json", simulate_config())
+    data_dir = tmp_path / "data"
+    main(["simulate", "--config", sim, "--out", str(data_dir)])
+    path = data_dir / "snapshots.csv"
+    lines, number = corrupt(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    est = write_config(tmp_path / "est.json", estimate_config())
+    capsys.readouterr()
+    code = main(["estimate", "--config", est, "--snapshots", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {path}:{number}: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{number}: "):
+        read_snapshots_csv(path)
 
 
 def test_bench_end_to_end_and_byte_identical_rerun(tmp_path):

@@ -1,18 +1,25 @@
-"""Every module of the package and of its tests uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports,
+and every private module-level name of the package is read somewhere.
 
-No linter ships with the project, so this guard parses each module with
-``ast``. A name counts as used when the module reads it, reads an
-attribute chain through it (``raysep.bench`` for ``import raysep.bench``)
-or lists it in ``__all__``.
+No linter ships with the project, so these guards parse each module with
+``ast``. An imported name counts as used when the module reads it, reads
+an attribute chain through it (``raysep.bench`` for ``import raysep.bench``)
+or lists it in ``__all__``. A private name (``_NAME``) that a package
+module defines at module level, as a constant, function or class, counts
+as read when a module of the package, its tests, its demos or its
+benchmark loads it as a name or an attribute.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "raysep").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "raysep").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def dotted_prefixes(node: ast.Attribute) -> list:
@@ -60,3 +67,61 @@ def test_guard_sees_unused_plain_dotted_and_from_imports():
         "np.zeros(1)\nraysep.bench.rmse\n"
     )
     assert unused_imports(source) == ["bpdn (line 5)", "os (line 1)", "raysep.cli (line 4)"]
+
+
+def private_definitions(source: str) -> dict:
+    """The private names a module defines at module level, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def read_names(source: str) -> set:
+    """The names and the attributes a module loads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+@functools.cache
+def names_read_anywhere() -> frozenset:
+    return frozenset().union(*(read_names(p.read_text()) for p in READERS))
+
+
+def unread_private_names(source: str, read: set) -> list:
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in private_definitions(source).items()
+        if name not in read
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_private_module_name_is_read(path):
+    assert unread_private_names(path.read_text(), names_read_anywhere()) == []
+
+
+def test_guard_sees_unread_private_constants_functions_and_classes():
+    source = (
+        "_A = 1\n_B: int = 2\nx = _C = 3\n__all__ = []\n"
+        "def _f():\n    return _A\nclass _K:\n    pass\ndef _g():\n    _H = 4\n"
+    )
+    other = "import m\nm._g()\nm._C = 5\n"
+    assert unread_private_names(source, read_names(source) | read_names(other)) == [
+        "_B (line 2)", "_C (line 3)", "_K (line 7)", "_f (line 5)",
+    ]

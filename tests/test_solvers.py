@@ -566,8 +566,8 @@ def test_zero_spectrum_reports_data_norm_as_residual():
 def reference_polish_column(a_sub, b_col, lam_sub, x_col):
     """One-column active-set polish, written as a plain loop.
 
-    The batched polish must follow exactly this iteration for every
-    snapshot column; it is the reference the lockstep version is checked
+    ``_polish_complex`` must follow exactly this iteration on each snapshot
+    it polishes; it is kept as the fixed copy the polish is checked
     against.
     """
     size = x_col.size
@@ -707,19 +707,28 @@ def reference_soft_threshold(v, threshold):
     return v * (keep / np.maximum(mag, np.finfo(float).tiny))
 
 
-def reference_cd_sweep(a, r, x, order, lam_rows, col_norms_sq):
+def reference_cd_sweep(a, r, x, order, lam_rows, col_norms_sq, candidates=False):
     """One cyclic pass of exact coordinate updates, one snapshot column at a time.
 
     Written plainly: each column visits the rows of ``order`` in turn and
-    skips a zero entry whose correlation is within its threshold. The sweep
-    in raysep.solvers must do exactly this arithmetic: the correlation is
-    np.vecdot of the atom with the column's residual, both contiguous.
+    skips a zero entry whose correlation is within its threshold at the
+    visit. With ``candidates`` (the rule of a column pass) each column
+    visits only its start candidates, the rows whose entry is nonzero or
+    whose correlation exceeds the threshold before the column's first
+    update, so a zero entry that crosses its threshold during the pass
+    stays zero. The sweep in raysep must do exactly this arithmetic: the
+    correlation is np.vecdot of the atom with the column's residual, both
+    contiguous.
     """
     tiny = np.finfo(float).tiny
     max_step = 0.0
     for col in range(x.shape[1]):
         res = r[:, col].copy()
-        for q in order:
+        rows = order
+        if candidates:
+            rows = [q for q in order
+                    if x[q, col] != 0 or np.abs(np.vecdot(a[:, q], res)) > lam_rows[q]]
+        for q in rows:
             aq = a[:, q].copy()
             xq = x[q, col:col + 1]
             u = np.vecdot(aq, res) + col_norms_sq[q] * xq
@@ -799,15 +808,20 @@ def sweep_forms(monkeypatch):
 def checked_sweep(a, r, x, order, lam_rows, norms, sweep_forms):
     """``lean_sweep``, held bit for bit to the oracle of the form the pass took.
 
-    A row-by-row pass over many snapshot columns is held to
-    ``reference_row_sweep``; a column pass, and a row-by-row pass over one
-    snapshot (the same dots on scalars), to ``reference_cd_sweep``.
+    A column pass is held to ``reference_cd_sweep`` with its candidate
+    rule; a row-by-row pass over many snapshot columns to
+    ``reference_row_sweep``; and a row-by-row pass over one snapshot (the
+    same dots on scalars) to ``reference_cd_sweep`` with its visit rule.
     """
     x_ref, r_ref = x.copy(), r.copy()
-    rows = sweep_forms["rows"]
+    columns = sweep_forms["columns"]
     step = lean_sweep(a, r, x, order, lam_rows, norms)
-    by_rows = sweep_forms["rows"] > rows and x.shape[1] > 1
-    oracle = reference_row_sweep if by_rows else reference_cd_sweep
+    if sweep_forms["columns"] > columns:
+        oracle = functools.partial(reference_cd_sweep, candidates=True)
+    elif x.shape[1] > 1:
+        oracle = reference_row_sweep
+    else:
+        oracle = reference_cd_sweep
     assert step == oracle(a, r_ref, x_ref, order, lam_rows, norms)
     np.testing.assert_array_equal(x, x_ref)
     np.testing.assert_array_equal(r, r_ref)
@@ -863,39 +877,102 @@ def test_cd_sweep_from_warm_starts_with_zero_rows_matches_the_plain_loop(
     assert sweep_forms["columns"] > 0
 
 
-def test_cd_sweep_lets_in_an_entry_that_crosses_its_threshold_mid_sweep(sweep_forms):
-    # An entry that is zero and within its threshold when the sweep starts,
-    # but whose column's earlier updates push its correlation over the
-    # threshold before its visit, enters at its visit, in the same sweep:
-    # its column is swept again with it live (the column steps run more
-    # than once in that sweep), and matches the plain loop.
+def mid_pass_instance():
+    """The 20-snapshot scene at unequal thresholds, after a sweep of its five top rows."""
     d, snap = table1_scene(20, 3)
     a, b = d.matrix, snap.data
     norms = np.sum(np.abs(a) ** 2, axis=0)
     lam_max = float(np.max(np.abs(a.conj().T @ b)))
     lam_rows = 0.3 * lam_max * np.random.default_rng(3).uniform(0.5, 2.0, a.shape[1])
     x, r = np.zeros((a.shape[1], b.shape[1]), dtype=complex), b.copy()
-    order = list(range(a.shape[1]))
     lean_sweep(a, r, x, sorted(np.argsort(-np.abs(a.conj().T @ b).max(axis=1))[:5].tolist()),
                lam_rows, norms)
-    crossed = 0
+    return a, b, lam_rows, norms, x, r
+
+
+def deferring_column_pass(a, lam_rows, norms, x, r, sweep_forms):
+    """Checked passes over all rows up to the first column pass that defers an entry.
+
+    An entry is deferred when it is zero and within its threshold as the
+    pass starts but the plain visit-rule loop lets it in, because its
+    column's earlier updates push its correlation over the threshold
+    before its visit. Returns the deferred entries' mask.
+    """
+    order = list(range(a.shape[1]))
     for _ in range(4):
-        zero = x == 0
-        within = np.abs(a.conj().T @ r) <= 0.999 * lam_rows[:, None]
-        runs = sweep_forms["columns"]
+        x_visit, r_visit = x.copy(), r.copy()
+        reference_cd_sweep(a, r_visit, x_visit, order, lam_rows, norms)
+        start = (x != 0) | (np.abs(a.conj().T @ r) > lam_rows[:, None])
+        columns = sweep_forms["columns"]
         checked_sweep(a, r, x, order, lam_rows, norms, sweep_forms)
-        if sweep_forms["columns"] - runs > 1:
-            crossed += np.count_nonzero(zero & within & (x != 0))
-    assert crossed > 0
+        deferred = ~start & (x_visit != 0)
+        if sweep_forms["columns"] > columns and deferred.any():
+            return deferred
+    pytest.fail("no column pass met an entry that crosses its threshold mid-pass")
 
 
-@pytest.mark.parametrize("scale", [1.0, 6.0])
+def test_cd_sweep_defers_an_entry_that_crosses_its_threshold_mid_sweep(sweep_forms):
+    # A column pass moves only the entries that are candidates when it
+    # starts: an entry whose correlation crosses its threshold before its
+    # visit stays zero in that pass (the pass matches the candidate oracle)
+    # and is a candidate when the next pass starts.
+    a, _, lam_rows, norms, x, r = mid_pass_instance()
+    deferred = deferring_column_pass(a, lam_rows, norms, x, r, sweep_forms)
+    assert np.all(x[deferred] == 0)
+    assert np.all((np.abs(a.conj().T @ r) > lam_rows[:, None])[deferred])
+
+
+def restarted_cd_lasso(a, b, lam_rows, x, norms, tol, max_calls):
+    """``_cd_lasso`` restarted from its own result until kkt <= tol.
+
+    A call leaves after one round once every violating row is already in
+    its working set, so a slow solve needs restarts to reach tol.
+    """
+    for _ in range(max_calls):
+        result = raysep.solvers._cd_lasso(a, b, lam_rows, x, tol, 600, norms)
+        if result.kkt <= tol:
+            break
+        x = result.x
+    return result
+
+
+def test_cd_lasso_admits_the_deferred_entry_and_ends_stationary(sweep_forms, monkeypatch):
+    # From the state the deferring pass leaves, _cd_lasso with every pass in
+    # the column form lets the deferred entries in and ends stationary.
+    a, b, lam_rows, norms, x, r = mid_pass_instance()
+    deferred = deferring_column_pass(a, lam_rows, norms, x, r, sweep_forms)
+    monkeypatch.setattr(raysep._sweep, "_ROW_SWEEP_MARGIN", -2 * a.shape[1] - 1)
+    rows, tol = sweep_forms["rows"], 1e-4
+    result = restarted_cd_lasso(a, b, lam_rows, x, norms, tol, 50)
+    assert result.kkt <= tol
+    assert np.all(result.x[deferred] != 0)
+    assert sweep_forms["rows"] == rows
+
+
+def test_row_and_column_forms_of_cd_lasso_reach_the_same_stationary_support(monkeypatch):
+    # The two forms of a pass differ in when a zero entry may enter: at its
+    # visit (rows) or at the next pass (columns). From the dense state, at
+    # its own thresholds, where most columns are denser than the sensors,
+    # _cd_lasso forced to either form reaches kkt <= tol with the same
+    # nonzero entries.
+    a, b, lam_rows, norms, x0, _ = dense_lasso_state()
+    tol = 1e-3
+    support = {}
+    for form, margin in (("rows", a.shape[1] + 1), ("columns", -2 * a.shape[1] - 1)):
+        monkeypatch.setattr(raysep._sweep, "_ROW_SWEEP_MARGIN", margin)
+        result = restarted_cd_lasso(a, b, lam_rows, x0, norms, tol, 200)
+        assert result.kkt <= tol
+        support[form] = result.x != 0
+    np.testing.assert_array_equal(support["rows"], support["columns"])
+
+
+@pytest.mark.parametrize("scale", [6.0])
 def test_row_and_column_passes_agree_to_rounding(scale, monkeypatch):
     # The two forms of a pass make the same updates with different
-    # products, so from the same dense state three passes of each agree
-    # to within 1e-12 of the largest coefficient and leave the same
-    # entries nonzero. At the state's own thresholds most columns are
-    # denser than the sensors; at six times them they thin out.
+    # products when no zero entry crosses its threshold mid-pass, so from
+    # the dense state, at six times its thresholds, where the columns thin
+    # out, three passes of each agree to within 1e-12 of the largest
+    # coefficient and leave the same entries nonzero.
     a, _, lam_rows, norms, x0, r0 = dense_lasso_state()
     order = list(range(a.shape[1]))
     passes = {}
