@@ -26,21 +26,24 @@ made from it by ``_with_vector``. The walk itself is one loop in
 The complex solvers run ``_cd_lasso``, working-set cyclic coordinate
 descent with exact one-dimensional updates, a dense active-set polish of
 a one-snapshot support (adopted when it lowers the objective) and a full
-stationarity sweep; the objective is evaluated once per round, after its
-sweeps, and once per polish candidate. A solve from zero admits its first
-working set from the stationarity sweep, without sweeping an empty one.
-Each snapshot column is its own lasso, so a coordinate pass
-(``_cd_sweep``) moves only each column's start candidates, the entries
-nonzero or over their threshold when the pass starts, the next candidate
-of every column in one step; its updates are those of a plain
-column-by-column loop over the candidates. A zero entry that crosses its
-threshold during the pass waits for the next pass or the stationarity
-sweep. A small or dense working set is swept row by row instead, each row
-in every column with two real BLAS products, letting a zero entry in at
-its visit. The polish runs only on one snapshot, with no more
-nonzero rows than the array has sensors: above that, the support Gram can
-be singular, so the dense solve has no unique support solution, and over
-many snapshots the polish changed no seeded report. Penalty
+stationarity sweep. That sweep opens every round, the first one of a warm
+or cold start included, and admits at once every row whose relative
+violation exceeds the tolerance: a round's working set is the current
+support plus every violator, as in the KKT check of the strong-rules
+working set (Tibshirani et al. 2012), so a solve from zero never sweeps an
+empty set. The objective is evaluated once per round, after its sweeps,
+and once per polish candidate. Each snapshot column is its own lasso, so
+a coordinate pass (``_cd_sweep``) moves only each column's start
+candidates, the entries nonzero or over their threshold when the pass
+starts, the next candidate of every column in one step; its updates are
+those of a plain column-by-column loop over the candidates. A zero entry
+that crosses its threshold during the pass waits for the next pass or the
+stationarity sweep. A small or dense working set is swept row by row
+instead, each row in every column with two real BLAS products, letting a
+zero entry in at its visit. The polish runs only on one snapshot, with no
+more nonzero rows than the array has sensors: above that, the support
+Gram can be singular, so the dense solve has no unique support solution,
+and over many snapshots the polish changed no seeded report. Penalty
 continuation (``_continue_penalty``), with warm-started steps of at most
 2x and a safeguarded secant on log residual against log level, puts the
 residual just under the requested bound, so the returned point is a
@@ -84,7 +87,6 @@ _SEARCH_AIM = 1.0 - 0.8 * _BAND
 _PATH_AIM = 1.0 - 0.5 * _BAND
 _FEASIBILITY_SLACK = 1e-6
 _MAX_WORKING_SET_ROUNDS = 200
-_NEW_COORDS_PER_ROUND = 25
 _SWEEPS_PER_ROUND = 25
 # A zero entry whose correlation is within this share of max Re(aᴴb) below
 # the level ties at a breakpoint of the nonnegative path.
@@ -98,6 +100,11 @@ _RETRY_FACTOR = 1.1
 # Passive sets whose segment solves the path memo of one lifted matrix keeps.
 _PATH_MEMO_SETS = 1024
 _TINY = np.finfo(float).tiny
+
+
+def _stop_counts() -> dict:
+    """Zero counts of the exits of ``_cd_lasso``, by the name it gives each."""
+    return dict.fromkeys(("kkt", "no_newcomer", "budget", "round_cap"), 0)
 
 
 class SolverInfeasibleError(RuntimeError):
@@ -174,6 +181,9 @@ class SparseSpectrum:
     peak_support: int = 0
     # subspace_cs only: residual_bound is 1.1 x the floor above the requested bound
     retried: bool = False
+    # Inner complex solves by the exit that ended them (see ``_cd_lasso``);
+    # all zero for subspace_cs and for an all-zero spectrum of loose bound.
+    stops: dict = field(default_factory=_stop_counts)
 
     def diagnostics(self) -> dict:
         """JSON-ready summary of the solve."""
@@ -187,6 +197,7 @@ class SparseSpectrum:
             "inner_solves": int(self.inner_solves),
             "peak_support": int(self.peak_support),
             "retried": bool(self.retried),
+            "stops": {name: int(n) for name, n in self.stops.items()},
         }
 
 
@@ -198,6 +209,7 @@ class _InnerResult:
     iterations: int
     objective_history: list
     retry_bound: float | None = None  # the bound a retried path walk raised to
+    stop: str | None = None  # the exit that ended a _cd_lasso run
 
 
 def _solve_psd(h: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -307,13 +319,22 @@ def _cd_lasso(
     the nonzero rows and ``_violation`` as the stationarity test. x is zero
     off the working set, so the objective's penalty is taken over its rows.
 
+    Every round starts with a full stationarity check, the first round of a
+    warm start included: its working set is the current support plus every
+    row whose relative violation exceeds ``tol``, and it runs up to
+    ``_SWEEPS_PER_ROUND`` sweeps on it. The run ends at the first check
+    that finds kkt <= tol (stop ``"kkt"``), the sweep budget spent
+    (``"budget"``), after a round, every violator already in the support
+    (``"no_newcomer"``), or ``_MAX_WORKING_SET_ROUNDS`` rounds run
+    (``"round_cap"``); the result's ``stop`` names that exit.
+
     The polish runs, and counts as a sweep, only on one snapshot (L = 1)
-    whose nonzero rows are no more than the M sensors. A larger support
-    gives a rank-deficient Gram, whose dense solve is not unique; on the
-    Table-1 sweeps every polish of such a support raised the objective and
-    was thrown away. Over many snapshots the polish changed no seeded
-    report and took about a tenth of a Table-1 run, so those solves run on
-    coordinate descent alone.
+    whose nonzero rows are no more than the M sensors. Above M rows the
+    support Gram can be singular, so the dense solve has no unique support
+    solution; such a polish can still lower the objective (it did in 5 of
+    the 20 columns of a dense 20-snapshot state, by 0.8-1.7 %). Over many
+    snapshots the polish changed no seeded report and took about a tenth
+    of a Table-1 run, so those solves run on coordinate descent alone.
     """
     x = x0.copy()
     r = (b - a @ x).T.copy()  # one row per snapshot column
@@ -321,48 +342,46 @@ def _cd_lasso(
     def objective(res, lam, coef):
         return 0.5 * float(np.linalg.norm(res) ** 2) + _penalty(lam, coef)
 
-    w = _support(x)
-    history = [objective(r, lam_rows[w], x[w])]
-    active = set(w.tolist())
+    support = _support(x)
+    history = [objective(r, lam_rows[support], x[support])]
     sweeps = 0
-    for _ in range(_MAX_WORKING_SET_ROUNDS):
-        # Exact solve on the working set; a cold start's first set is empty.
-        w = np.array(sorted(active), dtype=np.intp)
-        if w.size:
-            ws, x_w = _WorkingSet(a[:, w], col_norms_sq[w], lam_rows[w]), x[w]
-            for _ in range(max(1, min(_SWEEPS_PER_ROUND, max_sweeps - sweeps))):
-                sweeps += 1
-                if _cd_sweep(ws, r, x_w) <= 0.1 * tol or sweeps >= max_sweeps:
-                    break
-            x[w] = x_w
-            history.append(objective(r, ws.lam, x_w))
-        # Dense polish of one snapshot on a support the sensors can resolve;
-        # adopt only on objective decrease.
-        idx = _support(x)
-        if b.shape[1] == 1 and 0 < idx.size <= a.shape[0]:
-            sweeps += 1
-            a_sub = a[:, idx]
-            x_cand = _polish_complex(a_sub, b[:, 0], lam_rows[idx], x[idx, 0])[:, None]
-            r_cand = (b - a_sub @ x_cand).T.copy()
-            f_cand = objective(r_cand, lam_rows[idx], x_cand)
-            if f_cand <= history[-1]:
-                x[:] = 0
-                x[idx] = x_cand
-                r = r_cand
-                history.append(f_cand)
-        active = set(_support(x).tolist())
-        # Full stationarity pass; admit violating coordinates.
+    for rounds in range(_MAX_WORKING_SET_ROUNDS + 1):
+        # Full stationarity pass; the working set is the support plus every violator.
         rel = _violation(a, r.T, x, lam_rows)
         kkt = float(np.max(rel))
-        if kkt <= tol or sweeps >= max_sweeps:
+        w = np.union1d(support, np.flatnonzero(rel > tol))
+        stop = (
+            "kkt" if kkt <= tol
+            else "budget" if sweeps >= max_sweeps
+            else "no_newcomer" if rounds and w.size == support.size
+            else "round_cap" if rounds == _MAX_WORKING_SET_ROUNDS
+            else None
+        )
+        if stop is not None:
             break
-        newcomers = np.flatnonzero(rel > tol)
-        newcomers = newcomers[np.argsort(-rel[newcomers], kind="stable")]
-        before = len(active)
-        active.update(newcomers[:_NEW_COORDS_PER_ROUND].tolist())
-        if len(active) == before:
-            break
-    return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history)
+        ws, x_w = _WorkingSet(a[:, w], col_norms_sq[w], lam_rows[w]), x[w]
+        for _ in range(min(_SWEEPS_PER_ROUND, max_sweeps - sweeps)):
+            sweeps += 1
+            if _cd_sweep(ws, r, x_w) <= 0.1 * tol:
+                break
+        x[w] = x_w
+        history.append(objective(r, ws.lam, x_w))
+        # Dense polish of one snapshot on a support the sensors can resolve;
+        # adopt only on objective decrease.
+        support = _support(x)
+        if b.shape[1] == 1 and 0 < support.size <= a.shape[0]:
+            sweeps += 1
+            a_sub = a[:, support]
+            x_cand = _polish_complex(a_sub, b[:, 0], lam_rows[support], x[support, 0])[:, None]
+            r_cand = (b - a_sub @ x_cand).T.copy()
+            f_cand = objective(r_cand, lam_rows[support], x_cand)
+            if f_cand <= history[-1]:
+                x[:] = 0
+                x[support] = x_cand
+                r = r_cand
+                history.append(f_cand)
+                support = _support(x)
+    return _InnerResult(x, float(np.linalg.norm(r)), kkt, sweeps, history, stop=stop)
 
 
 def _effective_bound(bound: float, data_norm: float) -> float:
@@ -380,6 +399,7 @@ class _SearchLog:
     iterations: int = 0
     inner_solves: int = 0
     peak_support: int = 0
+    stops: dict = field(default_factory=_stop_counts)
 
 
 def _solve_at(a, b, lam, weights, x_start, norms, config, log: _SearchLog):
@@ -390,6 +410,7 @@ def _solve_at(a, b, lam, weights, x_start, norms, config, log: _SearchLog):
     log.iterations += res.iterations
     log.inner_solves += 1
     log.peak_support = max(log.peak_support, int(_support(res.x).size))
+    log.stops[res.stop] += 1
     return res
 
 
@@ -745,6 +766,7 @@ def _spectrum_from_result(grid, values, method, result, log, bound, tol) -> Spar
         inner_solves=log.inner_solves,
         peak_support=log.peak_support,
         retried=result.retry_bound is not None,
+        stops=log.stops,
     )
 
 

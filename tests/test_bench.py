@@ -569,7 +569,7 @@ SEEDED_ROWS = {
         ("bpdn", 0.0, 3, 1.35582504285519, 0.5, 1),
         ("bpdn", 0.0, 4, math.nan, 0.0, 0),
         ("bpdn", 20.0, 0, 0.35809395932357113, 1.0, 2),
-        ("bpdn", 20.0, 1, 0.50002593662403, 1.0, 2),
+        ("bpdn", 20.0, 1, 0.5050928672413995, 1.0, 2),
         ("bpdn", 20.0, 2, 0.2194948968528294, 1.0, 2),
         ("bpdn", 20.0, 3, 0.3558250428551899, 1.0, 2),
         ("bpdn", 20.0, 4, 0.06492244544795511, 1.0, 2),

@@ -481,9 +481,11 @@ def test_diagnostics_payload():
     diag = spec.diagnostics()
     assert set(diag) == {"method", "iterations", "residual", "residual_bound",
                          "objective", "converged", "inner_solves", "peak_support",
-                         "retried"}
+                         "retried", "stops"}
     assert diag["method"] == "bpdn" and diag["retried"] is False
     assert diag["inner_solves"] >= 1 and diag["peak_support"] >= 1
+    assert set(diag["stops"]) == {"kkt", "no_newcomer", "budget", "round_cap"}
+    assert sum(diag["stops"].values()) == diag["inner_solves"]
     assert diag["residual"] <= 0.1 * (1 + 1e-6)
 
 
@@ -1092,6 +1094,82 @@ def test_cd_lasso_makes_no_sweep_of_an_empty_working_set(monkeypatch):
     for s in solves:
         assert min(s["sweep_rows"]) > 0
         assert s["result"].iterations == len(s["sweep_rows"]) + s["polishes"]
+
+
+def scene_lasso(level, x0=None, tol=1e-4, max_sweeps=600):
+    """``_cd_lasso`` on the 0 dB, 20-snapshot scene at ``level`` x lam_max, from x0 or zero."""
+    d, snap = table1_scene(20, 3)
+    a, b = d.matrix, snap.data
+    lam_rows = np.full(a.shape[1], level * float(np.max(np.abs(a.conj().T @ b))))
+    norms = np.sum(np.abs(a) ** 2, axis=0)
+    x0 = np.zeros((a.shape[1], b.shape[1]), dtype=complex) if x0 is None else x0
+    return raysep.solvers._cd_lasso(a, b, lam_rows, x0, tol, max_sweeps, norms), (a, b, lam_rows)
+
+
+def test_a_warm_start_sweeps_its_support_and_every_violator_in_its_first_round(monkeypatch):
+    # Warm-started at 0.7 lam_max from the 0.9 lam_max solution, more than
+    # 25 rows off the start's support violate stationarity. The first round
+    # sweeps exactly the support plus every row with rel > tol.
+    solvers, tol = raysep.solvers, 1e-4
+    x0 = scene_lasso(0.9)[0].x
+    working_sets = []
+    working_set = solvers._WorkingSet
+
+    def recording(a_w, *rest):
+        working_sets.append(a_w)
+        return working_set(a_w, *rest)
+
+    monkeypatch.setattr(solvers, "_WorkingSet", recording)
+    _, (a, b, lam_rows) = scene_lasso(0.7, x0, tol=tol)
+    rel = solvers._violation(a, b - a @ x0, x0, lam_rows)
+    support, violators = solvers._support(x0), np.flatnonzero(rel > tol)
+    assert np.setdiff1d(violators, support).size > 25
+    want = np.union1d(support, violators)
+    assert want.size < a.shape[1]
+    # each working-set atom is one dictionary column
+    first = [int(np.flatnonzero(np.all(a == col[:, None], axis=0))[0]) for col in working_sets[0].T]
+    assert_array_equal(first, want)
+
+
+@pytest.mark.parametrize("stop", ["kkt", "no_newcomer", "budget", "round_cap"])
+def test_cd_lasso_names_the_exit_that_ended_it(stop, monkeypatch):
+    # On the 0 dB, 20-snapshot scene, from zero: at 0.9 lam_max the solve
+    # meets tol; at 0.5 lam_max it stops when a round admits no row off its
+    # support, and on the budget when that is one sweep; with the cap at
+    # one round, a solve at 0.1 lam_max still has rows to admit.
+    tol = 1e-4
+    if stop == "round_cap":
+        monkeypatch.setattr(raysep.solvers, "_MAX_WORKING_SET_ROUNDS", 1)
+    level, max_sweeps = {"kkt": (0.9, 600), "no_newcomer": (0.5, 600), "budget": (0.5, 1),
+                         "round_cap": (0.1, 600)}[stop]
+    result, _ = scene_lasso(level, tol=tol, max_sweeps=max_sweeps)
+    assert result.stop == stop
+    assert (result.kkt <= tol) == (stop == "kkt")
+    assert (result.iterations >= max_sweeps) == (stop == "budget")
+    if stop == "kkt":
+        # the check before the first round ends a stationary warm start unswept
+        again, _ = scene_lasso(level, result.x, tol=tol)
+        assert again.stop == "kkt" and again.iterations == 0
+        assert_array_equal(again.x, result.x)
+
+
+def test_a_spectrum_counts_the_exit_of_every_inner_solve(monkeypatch):
+    # The 0 dB, 20-snapshot scene with the bench's settings: the spectrum's
+    # stop counts are the exits of its inner solves. subspace_cs and an
+    # all-zero spectrum run none.
+    d, snap = table1_scene(20, 3)
+    eps = 1.1 * np.sqrt(snap.noise_power * 11 * 20)
+    solves = record_cd_lasso_solves(monkeypatch)
+    spec = reweighted_cs(d, snap, eps)
+    want = dict.fromkeys(("kkt", "no_newcomer", "budget", "round_cap"), 0)
+    for s in solves:
+        want[s["result"].stop] += 1
+    assert spec.diagnostics()["stops"] == want
+    assert sum(want.values()) == spec.inner_solves == len(solves)
+    zero = dict.fromkeys(want, 0)
+    assert reweighted_cs(d, snap, 2.0 * np.linalg.norm(snap.data)).diagnostics()["stops"] == zero
+    lifted = lifted_single_path()[0]
+    assert subspace_cs(lifted, 0.1).diagnostics()["stops"] == zero
 
 
 def test_bpdn_is_the_first_reweighted_pass_bit_for_bit():
